@@ -550,8 +550,8 @@ fn main() {
                 );
                 if shards == 1 {
                     println!(
-                        "SPILL {name} {symmetry} {por} {} {}",
-                        sm.spilled_bytes, sm.reload_count
+                        "SPILL {name} {symmetry} {por} {} {} {}",
+                        sm.spilled_bytes, sm.reload_count, sm.index_reads
                     );
                 }
                 let label = format!(

@@ -230,10 +230,7 @@ impl ExploreOptions {
     /// `1..=MAX_SHARDS`.
     fn effective_shards(&self) -> usize {
         let n = if self.shards == 0 {
-            std::env::var("MC_SHARDS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(1)
+            env_value("MC_SHARDS", parse_usize).unwrap_or(1)
         } else {
             self.shards
         };
@@ -242,14 +239,14 @@ impl ExploreOptions {
 
     /// The store backend this exploration will actually run with: an
     /// explicit [`store`](Self::store) wins, [`StoreBackend::Auto`]
-    /// defers to the `MC_STORE` env var (`"disk"` selects the disk
-    /// store, anything else the in-memory one).
+    /// defers to the `MC_STORE` env var (`disk` or `memory`; unset falls
+    /// back to the in-memory store, and so does any other value, with a
+    /// warning).
     fn effective_store(&self) -> StoreBackend {
         match self.store {
-            StoreBackend::Auto => match std::env::var("MC_STORE") {
-                Ok(v) if v.trim().eq_ignore_ascii_case("disk") => StoreBackend::Disk,
-                _ => StoreBackend::Memory,
-            },
+            StoreBackend::Auto => {
+                env_value("MC_STORE", parse_store).unwrap_or(StoreBackend::Memory)
+            }
             explicit => explicit,
         }
     }
@@ -258,11 +255,8 @@ impl ExploreOptions {
     /// [`store_budget_bytes`](Self::store_budget_bytes) wins, `None`
     /// defers to the `MC_STORE_BUDGET` env var.
     fn effective_store_budget(&self) -> Option<usize> {
-        self.store_budget_bytes.or_else(|| {
-            std::env::var("MC_STORE_BUDGET")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        })
+        self.store_budget_bytes
+            .or_else(|| env_value("MC_STORE_BUDGET", parse_usize))
     }
 
     /// The options as one JSON object with every env-deferred field
@@ -295,6 +289,49 @@ impl ExploreOptions {
             self.effective_shards()
         )
     }
+}
+
+/// Parses a numeric `MC_*` value (`None` = malformed).
+fn parse_usize(v: &str) -> Option<usize> {
+    v.parse().ok()
+}
+
+/// Parses an `MC_STORE` value: `disk` or `memory`, any case.
+fn parse_store(v: &str) -> Option<StoreBackend> {
+    if v.eq_ignore_ascii_case("disk") {
+        Some(StoreBackend::Disk)
+    } else if v.eq_ignore_ascii_case("memory") {
+        Some(StoreBackend::Memory)
+    } else {
+        None
+    }
+}
+
+/// Parses the raw value of env var `var`: `Ok(None)` when it is empty
+/// (treated as unset), `Err(warning)` naming the variable and the value
+/// when `parse` rejects it.
+fn parse_env<T>(
+    var: &str,
+    raw: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let v = raw.trim();
+    if v.is_empty() {
+        return Ok(None);
+    }
+    parse(v).map(Some).ok_or_else(|| {
+        format!("modelcheck: WARNING: ignoring malformed {var}={raw:?}; using the default")
+    })
+}
+
+/// The parsed value of env var `var`, or `None` (the caller's default)
+/// when it is unset, empty or malformed — a malformed value warns once.
+fn env_value<T>(var: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    let raw = std::env::var(var).ok()?;
+    parse_env(var, &raw, parse).unwrap_or_else(|warning| {
+        warn_once(&format!("malformed {var}={raw}"), &warning);
+        None
+    })
 }
 
 /// Which backend an exploration keeps its visited set in — see
@@ -707,7 +744,8 @@ impl<'a> CompactStore<'a> {
 
     /// Evicts cold state until the resident estimate fits the budget:
     /// complete, unpinned arena segments oldest-pin-first, then (still
-    /// over) the in-memory fingerprint index drains to bucket files.
+    /// over) the in-memory fingerprint index drains to the sorted spilled
+    /// index.
     fn evict_to_budget(&mut self) {
         let rec = self.rec;
         let Some(spill) = self.spill.as_ref() else {
@@ -867,7 +905,7 @@ fn unspill(
     words: &mut Vec<u32>,
     rec: &Recorder,
 ) {
-    let Some(mut spill) = spill.take() else {
+    let Some(spill) = spill.take() else {
         return;
     };
     for seg in 0..interner.object_segments() {
@@ -887,6 +925,47 @@ fn unspill(
         all.append(words);
         *words = all;
     }
+}
+
+/// The merge-side (authoritative) dedup shared by both compact stores:
+/// the id of the stored row equal to `words`, if any. `hot` holds the rows
+/// `[hot_base, ..)` and `mem` the in-memory index's candidates for `fp`;
+/// cold candidates are faulted from disk. The spilled index is probed only
+/// when every in-memory candidate misses — at most one row can equal
+/// `words`, so a hit ends the search.
+fn merge_dedup(
+    hot: &[u32],
+    stride: usize,
+    spill: &mut Option<Spill>,
+    mem: &[usize],
+    fp: u64,
+    words: &[u32],
+    rec: &Recorder,
+) -> Option<usize> {
+    let hot_base = spill.as_ref().map_or(0, Spill::hot_base);
+    let spilling = spill.is_some();
+    let matches = |j: usize, spill: &mut Option<Spill>| {
+        if j >= hot_base {
+            if spilling {
+                rec.count_store_hot_hits(1);
+            }
+            let k = j - hot_base;
+            return &hot[k * stride..(k + 1) * stride] == words;
+        }
+        let spill = spill.as_mut().expect("non-resident row implies a spill");
+        if let Some(row) = spill.reloaded_row(j) {
+            rec.count_store_hot_hits(1);
+            return row == words;
+        }
+        rec.count_store_hot_misses(1);
+        spill.fault_row(j, rec) == words
+    };
+    if let Some(j) = mem.iter().copied().find(|&j| matches(j, spill)) {
+        return Some(j);
+    }
+    let mut cold = Vec::new();
+    spill.as_ref()?.spilled_candidates(fp, &mut cold, rec);
+    cold.into_iter().find(|&j| matches(j, spill))
 }
 
 impl ConfigStore for CompactStore<'_> {
@@ -990,38 +1069,16 @@ impl ConfigStore for CompactStore<'_> {
         let compact = self.interner.finalize(c.pending);
         let words = compact.words();
         let fp = fingerprint_words(words);
-        let mut cands: Vec<usize> = self.index.get(&fp).cloned().unwrap_or_default();
-        if let Some(spill) = self.spill.as_mut() {
-            if spill.drained {
-                spill.spilled_candidates(fp, &mut cands, self.rec);
-            }
-        }
-        let rec = self.rec;
-        let spilling = self.spill.is_some();
-        let mut known = None;
-        for j in cands {
-            let hit = match self.row_resident(j) {
-                Some(row) => {
-                    if spilling {
-                        rec.count_store_hot_hits(1);
-                    }
-                    row == words
-                }
-                None => {
-                    rec.count_store_hot_misses(1);
-                    let spill = self
-                        .spill
-                        .as_mut()
-                        .expect("non-resident row implies a spill");
-                    spill.fault_row(j, rec) == words
-                }
-            };
-            if hit {
-                known = Some(j);
-                break;
-            }
-        }
-        if let Some(j) = known {
+        let mem = self.index.get(&fp).map_or(&[][..], Vec::as_slice);
+        if let Some(j) = merge_dedup(
+            &self.words,
+            self.stride,
+            &mut self.spill,
+            mem,
+            fp,
+            words,
+            self.rec,
+        ) {
             return MergeSlot::Known(j);
         }
         if self.len >= cap {
@@ -1073,7 +1130,7 @@ impl ConfigStore for CompactStore<'_> {
             + self
                 .spill
                 .as_ref()
-                .map_or(0, |s| s.reloaded_bytes() + s.bucket_cache_bytes())
+                .map_or(0, |s| s.reloaded_bytes() + s.fence_bytes())
     }
 
     fn spilling(&self) -> bool {
@@ -2479,37 +2536,16 @@ impl ShardStore for CompactShard<'_> {
         }
         let compact = self.interner.adopt(wire);
         let words = compact.words();
-        let mut cands: Vec<usize> = self.index.get(&fp).cloned().unwrap_or_default();
-        if let Some(spill) = self.spill.as_mut() {
-            if spill.drained {
-                spill.spilled_candidates(fp, &mut cands, timers);
-            }
-        }
-        let spilling = self.spill.is_some();
-        let mut known = None;
-        for j in cands {
-            let hit = match self.row_resident(j) {
-                Some(row) => {
-                    if spilling {
-                        timers.count_store_hot_hits(1);
-                    }
-                    row == words
-                }
-                None => {
-                    timers.count_store_hot_misses(1);
-                    let spill = self
-                        .spill
-                        .as_mut()
-                        .expect("non-resident row implies a spill");
-                    spill.fault_row(j, timers) == words
-                }
-            };
-            if hit {
-                known = Some(j);
-                break;
-            }
-        }
-        if let Some(j) = known {
+        let mem = self.index.get(&fp).map_or(&[][..], Vec::as_slice);
+        if let Some(j) = merge_dedup(
+            &self.words,
+            self.stride,
+            &mut self.spill,
+            mem,
+            fp,
+            words,
+            timers,
+        ) {
             return (j, false);
         }
         let j = self.len;
@@ -2581,7 +2617,7 @@ impl ShardStore for CompactShard<'_> {
             + self
                 .spill
                 .as_ref()
-                .map_or(0, |s| s.reloaded_bytes() + s.bucket_cache_bytes())
+                .map_or(0, |s| s.reloaded_bytes() + s.fence_bytes())
     }
 
     fn spilling(&self) -> bool {
@@ -4519,6 +4555,28 @@ mod tests {
         // Unsharded runs publish no per-shard rows.
         let g1 = StateGraph::explore(&spec, &ExploreOptions::default().with_metrics(true)).unwrap();
         assert!(g1.metrics().shards.is_empty());
+    }
+
+    #[test]
+    fn malformed_env_values_are_reported_not_parsed() {
+        assert_eq!(parse_env("MC_SHARDS", " 4 ", parse_usize), Ok(Some(4)));
+        assert_eq!(parse_env("MC_SHARDS", "", parse_usize), Ok(None));
+        assert_eq!(parse_env("MC_SHARDS", "  ", parse_usize), Ok(None));
+        let err = parse_env("MC_STORE_BUDGET", "4MiB", parse_usize).unwrap_err();
+        assert!(
+            err.contains("MC_STORE_BUDGET") && err.contains("4MiB"),
+            "{err}"
+        );
+        assert_eq!(
+            parse_env("MC_STORE", "DISK", parse_store),
+            Ok(Some(StoreBackend::Disk))
+        );
+        assert_eq!(
+            parse_env("MC_STORE", "memory", parse_store),
+            Ok(Some(StoreBackend::Memory))
+        );
+        let err = parse_env("MC_STORE", "ssd", parse_store).unwrap_err();
+        assert!(err.contains("MC_STORE") && err.contains("ssd"), "{err}");
     }
 
     #[test]

@@ -220,10 +220,14 @@ impl TruncationCause {
 /// are always on; the `*_ns` fields follow the recorder's timing flag.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreMetrics {
-    /// Bytes written to spill files (rows, arena segments, index buckets).
+    /// Bytes written to spill files (rows, arena segments, and every
+    /// rewrite of the sorted fingerprint index).
     pub spilled_bytes: u64,
     /// Cold reads back into the hot tier (row faults + segment restores).
     pub reload_count: u64,
+    /// Positional reads of the spilled fingerprint index (one per dedup
+    /// probe whose fingerprint falls inside the spilled range).
+    pub index_reads: u64,
     /// Row/segment accesses served from the hot tier.
     pub hot_hits: u64,
     /// Row/segment accesses that had to fault from disk.
@@ -250,11 +254,12 @@ impl StoreMetrics {
     /// e9 disk rows).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"spilled_bytes\": {}, \"reload_count\": {}, \"hot_hits\": {}, \
-             \"hot_misses\": {}, \"hot_hit_rate\": {:.4}, \
+            "{{\"spilled_bytes\": {}, \"reload_count\": {}, \"index_reads\": {}, \
+             \"hot_hits\": {}, \"hot_misses\": {}, \"hot_hit_rate\": {:.4}, \
              \"spill_write_ns\": {}, \"spill_read_ns\": {}}}",
             self.spilled_bytes,
             self.reload_count,
+            self.index_reads,
             self.hot_hits,
             self.hot_misses,
             self.hot_hit_rate(),
@@ -652,9 +657,10 @@ impl fmt::Display for ExploreMetrics {
         if let Some(s) = &self.store {
             write!(
                 f,
-                "\nspill: {} B out, {} reloads, hot hit rate {:.2}",
+                "\nspill: {} B out, {} reloads, {} index reads, hot hit rate {:.2}",
                 s.spilled_bytes,
                 s.reload_count,
+                s.index_reads,
                 s.hot_hit_rate()
             )?;
         }
@@ -855,6 +861,7 @@ pub struct Recorder {
     store_active: AtomicU64,
     spilled_bytes: AtomicU64,
     store_reloads: AtomicU64,
+    store_index_reads: AtomicU64,
     store_hot_hits: AtomicU64,
     store_hot_misses: AtomicU64,
     spill_write_ns: AtomicU64,
@@ -912,6 +919,7 @@ impl Recorder {
             store_active: AtomicU64::new(0),
             spilled_bytes: AtomicU64::new(0),
             store_reloads: AtomicU64::new(0),
+            store_index_reads: AtomicU64::new(0),
             store_hot_hits: AtomicU64::new(0),
             store_hot_misses: AtomicU64::new(0),
             spill_write_ns: AtomicU64::new(0),
@@ -1195,6 +1203,11 @@ impl Recorder {
         self.store_reloads.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Counts positional reads of the spilled fingerprint index.
+    pub fn count_index_reads(&self, n: u64) {
+        self.store_index_reads.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Counts cold-capable accesses served from the hot tier.
     pub fn count_store_hot_hits(&self, n: u64) {
         self.store_hot_hits.fetch_add(n, Ordering::Relaxed);
@@ -1425,6 +1438,8 @@ impl Recorder {
             .fetch_add(sum(|c| &c.spilled_bytes), Ordering::Relaxed);
         self.store_reloads
             .fetch_add(sum(|c| &c.store_reloads), Ordering::Relaxed);
+        self.store_index_reads
+            .fetch_add(sum(|c| &c.store_index_reads), Ordering::Relaxed);
         self.store_hot_hits
             .fetch_add(sum(|c| &c.store_hot_hits), Ordering::Relaxed);
         self.store_hot_misses
@@ -1474,6 +1489,7 @@ impl Recorder {
             Some(StoreMetrics {
                 spilled_bytes: self.spilled_bytes.load(Ordering::Relaxed),
                 reload_count: self.store_reloads.load(Ordering::Relaxed),
+                index_reads: self.store_index_reads.load(Ordering::Relaxed),
                 hot_hits: self.store_hot_hits.load(Ordering::Relaxed),
                 hot_misses: self.store_hot_misses.load(Ordering::Relaxed),
                 spill_write_ns: self.spill_write_ns.load(Ordering::Relaxed),

@@ -70,6 +70,7 @@ fn store_metrics_round_trip() {
     let store = StoreMetrics {
         spilled_bytes: 65_536,
         reload_count: 12,
+        index_reads: 34,
         hot_hits: 30,
         hot_misses: 10,
         spill_write_ns: 100,
@@ -78,6 +79,9 @@ fn store_metrics_round_trip() {
     let v = parse(&store.to_json());
     assert_eq!(u(&v, "spilled_bytes"), 65_536);
     assert_eq!(u(&v, "reload_count"), 12);
+    assert_eq!(u(&v, "index_reads"), 34);
+    assert_eq!(u(&v, "hot_hits"), 30);
+    assert_eq!(u(&v, "hot_misses"), 10);
     let rate = v.get("hot_hit_rate").and_then(JsonValue::as_f64).unwrap();
     assert!((rate - 0.75).abs() < 1e-9, "hot_hit_rate {rate}");
 }

@@ -28,14 +28,16 @@
 #
 # 4. Disk-store equivalence: the smoke bench runs once more with
 #    MC_STORE=disk and a 64 KiB hot-tier budget, so every Auto-backend
-#    exploration spills cold arenas, frontier rows and index buckets to
-#    disk. The GUARD and VERDICT lines must be byte-identical to the
-#    in-memory run (spilling must never change the explored graph or its
-#    frozen footprint), at least one SPILL line must report nonzero
-#    spilled bytes (the explicit disk rows with their tiny budget), and
-#    no mc-spill-* run directory may survive the run. INTERNER lines are
-#    deliberately NOT diffed: eviction inflates the arenas' miss
-#    counters without touching the graph.
+#    exploration spills cold arenas, frontier rows and the fingerprint
+#    index to disk. The GUARD and VERDICT lines must be byte-identical
+#    to the in-memory run (spilling must never change the explored graph
+#    or its frozen footprint), at least one SPILL line must report
+#    nonzero spilled bytes (the explicit disk rows with their tiny
+#    budget), at least one must report nonzero index reads (so the
+#    identity above covers dedup probes against a drained, sorted
+#    fingerprint index), and no mc-spill-* run directory may survive the
+#    run. INTERNER lines are deliberately NOT diffed: eviction inflates
+#    the arenas' miss counters without touching the graph.
 #
 # 5. mc-report diff self-consistency: `mc-report diff` on the committed
 #    baseline against itself must report zero regressions and exit 0,
@@ -176,15 +178,23 @@ if ! diff <(echo "$mem_g") <(echo "$disk_g") >/dev/null; then
   exit 1
 fi
 spilled=0
-while read -r _ fixture symmetry por bytes reloads; do
+probed=0
+while read -r _ fixture symmetry por bytes reloads index_reads; do
   if ((bytes > 0)); then
     spilled=$((spilled + 1))
   else
     echo "bench_guard: $fixture sym=$symmetry por=$por: disk row spilled 0 bytes ($reloads reloads)"
   fi
+  if ((${index_reads:-0} > 0)); then
+    probed=$((probed + 1))
+  fi
 done < <(grep '^SPILL ' <<<"$disk_raw")
 if ((spilled == 0)); then
   echo "bench_guard: FAILED — no SPILL line reported nonzero spilled bytes" >&2
+  exit 1
+fi
+if ((probed == 0)); then
+  echo "bench_guard: FAILED — no SPILL line reported nonzero index reads (no dedup probe hit a drained index)" >&2
   exit 1
 fi
 spill_base="${MC_STORE_DIR:-${TMPDIR:-/tmp}}"
@@ -194,7 +204,7 @@ if [[ -n "$leftover" ]]; then
   sed 's/^/bench_guard:   /' <<<"$leftover" >&2
   exit 1
 fi
-echo "bench_guard: disk store OK (GUARD/VERDICT identical under MC_STORE=disk, $spilled SPILL rows, run dirs cleaned)"
+echo "bench_guard: disk store OK (GUARD/VERDICT identical under MC_STORE=disk, $spilled SPILL rows, $probed with index reads, run dirs cleaned)"
 
 # Gate 5: the mc-report diff gate must itself work. Identical files diff
 # clean (exit 0, zero regressions); a copy with one completing row

@@ -260,9 +260,10 @@ fn render_metrics(metrics: &JsonValue) -> String {
         if !store.is_null() {
             let _ = writeln!(
                 out,
-                "  spill: {} B out, {} reloads, hot hit rate {:.2}",
+                "  spill: {} B out, {} reloads, {} index reads, hot hit rate {:.2}",
                 int(store, "spilled_bytes"),
                 int(store, "reload_count"),
+                int(store, "index_reads"),
                 num(store, "hot_hit_rate")
             );
         }
