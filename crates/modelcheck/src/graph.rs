@@ -6,21 +6,21 @@
 //! order is independent of how the level was split, the graph — node
 //! indices, edges, terminals — is identical for every thread count.
 //!
-//! The visited set is a fingerprint index (`u64` hash → candidate node
-//! indices) rather than a `HashMap<Config, usize>`: configurations are
-//! stored once in the node arena, and every fingerprint hit is verified
-//! by full equality before deduplicating, so hash collisions can never
-//! merge distinct configurations.
+//! The node arena is **hash-consed**: every distinct object and process
+//! state is interned once into a [`StateInterner`] and a node is one flat
+//! row of `u32` id words. The visited set is a fingerprint index (`u64`
+//! hash → candidate node ids) whose hits are verified by comparing id
+//! words, so hash collisions can never merge distinct configurations:
+//! interning maps equal states to equal ids, and only those. Stepping,
+//! canonicalization and the POR footprints all work on id rows; a deep
+//! [`Config`] is materialized only when a caller asks for one.
 //!
-//! By default ([`ExploreOptions::interned`]) the node arena is
-//! **hash-consed**: every distinct object and process state is interned
-//! once into a [`StateInterner`] and a node is one flat row of `u32` id
-//! words, so fingerprint verification is a word compare, stepping copies
-//! id rows instead of `Arc` vectors, and per-node memory drops
-//! severalfold. Because interning maps equal states to equal ids (and only
-//! those), the id-space explorer is node-for-node identical to the deep
-//! one — `explore` is generic over the store, and the e6/e10/e11
-//! equivalence suites check the two representations against each other.
+//! Two drivers share that one node store, one POR planner and one BFS
+//! bookkeeping: the unsharded explorer (threads split a level's
+//! expansion, one sequential merge) and the sharded one (see the
+//! sharded-exploration section of the module source). An independent
+//! `HashMap<Config, usize>` reference explorer under `tests/` checks the
+//! graphs they produce node for node.
 //!
 //! # Partial-order reduction
 //!
@@ -85,14 +85,6 @@ pub struct ExploreOptions {
     /// `find_critical`, which needs full expansion. Composes with
     /// `symmetry` and `threads`.
     pub por: bool,
-    /// Store configurations hash-consed (the default): object and process
-    /// states are interned into per-exploration arenas and every node is a
-    /// flat row of `u32` id words, so dedup verification is a word compare
-    /// instead of a deep-state traversal and per-node memory shrinks
-    /// severalfold. The produced graph is node-for-node identical to the
-    /// deep representation; turn this off only to cross-check the two
-    /// paths (the e6/e10/e11 equivalence suites do).
-    pub interned: bool,
     /// Turn the phase timers of the exploration telemetry on, so the
     /// graph's [`metrics`](StateGraph::metrics) carry a wall-time
     /// breakdown (expand / canonicalize / POR / dedup / merge / freeze).
@@ -149,7 +141,6 @@ impl Default for ExploreOptions {
             threads: 1,
             symmetry: false,
             por: false,
-            interned: true,
             metrics: false,
             shards: 0,
             goal: ExploreGoal::FullGraph,
@@ -183,13 +174,6 @@ impl ExploreOptions {
     /// Returns these options with partial-order reduction on or off.
     pub fn with_por(mut self, por: bool) -> Self {
         self.por = por;
-        self
-    }
-
-    /// Returns these options with the hash-consed node representation on
-    /// or off.
-    pub fn with_interned(mut self, interned: bool) -> Self {
-        self.interned = interned;
         self
     }
 
@@ -277,14 +261,13 @@ impl ExploreOptions {
             .map_or_else(|| "null".to_string(), |b| b.to_string());
         format!(
             "{{\"max_configs\": {}, \"threads\": {}, \"symmetry\": {}, \
-             \"por\": {}, \"interned\": {}, \"metrics\": {}, \"shards\": {}, \
+             \"por\": {}, \"metrics\": {}, \"shards\": {}, \
              \"goal\": \"{goal}\", \"store\": \"{store}\", \
              \"store_budget_bytes\": {budget}}}",
             self.max_configs,
             self.threads,
             self.symmetry,
             self.por,
-            self.interned,
             self.metrics,
             self.effective_shards()
         )
@@ -350,9 +333,7 @@ pub enum StoreBackend {
     /// append-only files under a per-exploration run directory (removed
     /// when the exploration drops), keeping resident bytes near
     /// [`ExploreOptions::store_budget_bytes`]. The produced graph is
-    /// node-for-node identical to the in-memory one. Requires the
-    /// interned representation; a deep-representation exploration falls
-    /// back to memory with a one-shot stderr note.
+    /// node-for-node identical to the in-memory one.
     Disk,
 }
 
@@ -361,29 +342,7 @@ pub enum StoreBackend {
 /// vectors stop being readable.
 const MAX_SHARDS: usize = 64;
 
-/// Content hash of a configuration, used as the dedup index key.
-fn fingerprint(config: &Config) -> u64 {
-    let mut h = DefaultHasher::new();
-    config.hash(&mut h);
-    h.finish()
-}
-
-/// Finds `config` among the fingerprint bucket's candidates, verifying by
-/// full equality (never trusting the hash alone).
-fn lookup(
-    index: &HashMap<u64, Vec<usize>>,
-    configs: &[Config],
-    fp: u64,
-    config: &Config,
-) -> Option<usize> {
-    index
-        .get(&fp)?
-        .iter()
-        .copied()
-        .find(|&j| configs[j] == *config)
-}
-
-/// Content hash of a row of interner id words (the compact dedup key).
+/// Content hash of a row of interner id words (the unsharded dedup key).
 fn fingerprint_words(words: &[u32]) -> u64 {
     let mut h = DefaultHasher::new();
     words.hash(&mut h);
@@ -402,249 +361,34 @@ fn permute_mask(mask: u64, perm: &[usize]) -> u64 {
     out
 }
 
-/// How the sequential merge placed a worker-produced successor.
-enum MergeSlot {
-    /// Already in the store (possibly inserted earlier in this level).
-    Known(usize),
-    /// Newly inserted under this node index.
-    Added(usize),
-    /// Rejected: the store is at the configuration bound.
-    Capped,
+/// The hot-tier budget of each of `stores` node stores when this
+/// exploration spills to disk (`None`: everything stays in memory). The
+/// budget bounds the whole exploration, so each shard gets an equal slice.
+fn spill_budget(opts: &ExploreOptions, stores: usize) -> Option<usize> {
+    (opts.effective_store() == StoreBackend::Disk).then(|| {
+        opts.effective_store_budget()
+            .unwrap_or(DEFAULT_DISK_BUDGET)
+            .div_euclid(stores)
+            .max(1)
+    })
 }
 
-/// The configuration storage and stepping backend of one exploration.
+/// Stepped successors of one node, each with the pid permutation
+/// canonicalization applied (`None` when already canonical).
+type Successors = Vec<(PendingConfig, Option<Vec<usize>>)>;
+
+/// The node arena of an exploration, or of one shard of it: states live
+/// once in a [`StateInterner`], nodes are rows of `u32` id words in one
+/// flat array, and a fingerprint index finds a row by a word compare
+/// (sound because interning makes id equality equivalent to state
+/// equality, so fingerprint collisions never merge distinct
+/// configurations). Under [`StoreBackend::Disk`] a [`Spill`] keeps the
+/// hot tier within budget.
 ///
-/// The explorer itself (`explore_core`) is generic over this trait, so the
-/// BFS/POR/symmetry logic is written once and proven equal across the two
-/// representations by the equivalence suites:
-///
-/// * [`DeepStore`] keeps each node as a full [`Config`] and verifies dedup
-///   hits by deep equality — the pre-interning representation.
-/// * [`CompactStore`] hash-conses states into a [`StateInterner`] and keeps
-///   each node as one flat row of `u32` id words; dedup verification is a
-///   word compare.
-///
-/// Workers hold `&self` (both stores are `Sync`; the interner's hit/miss
-/// counters are relaxed atomics) and resolve successors against that
-/// snapshot; only the sequential merge calls [`ConfigStore::insert`].
-trait ConfigStore: Sync {
-    /// A successor produced by a worker, not yet (necessarily) stored.
-    type Carrier: Send;
-
-    fn spec(&self) -> &SystemSpec;
-
-    /// The telemetry sink of this exploration (shared with the merge
-    /// thread; write-only from the explorer's point of view).
-    fn recorder(&self) -> &Recorder;
-
-    /// Enabled-process bitset of node `i`.
-    fn enabled_bits(&self, i: usize) -> u64;
-
-    /// Footprint of `pid`'s next step at node `i`.
-    fn footprint(&self, i: usize, pid: Pid) -> Result<StepFootprint, SimError>;
-
-    /// Whether two steps with these footprints commute at node `i`.
-    fn independent(&self, i: usize, a: &StepFootprint, b: &StepFootprint) -> bool;
-
-    /// All successors of stepping `pid` at node `i`, canonicalized when
-    /// `symmetry`, each with the pid permutation that canonicalization
-    /// applied (`None` when already canonical).
-    fn successors(
-        &self,
-        i: usize,
-        pid: Pid,
-        symmetry: bool,
-    ) -> Result<Successors<Self::Carrier>, SimError>;
-
-    /// Worker-side: finds `c` in this snapshot of the store, if present.
-    fn lookup(&self, c: &Self::Carrier) -> Option<usize>;
-
-    /// Merge-side find-or-insert, bounded by `cap` configurations.
-    fn insert(&mut self, c: Self::Carrier, cap: usize) -> MergeSlot;
-
-    /// Streaming-verdict facts of terminal node `i` (decided values, hung /
-    /// undecided classification) read off the stored representation — no
-    /// deep `Config` is materialized.
-    fn terminal_facts(&self, i: usize) -> TerminalFacts;
-
-    /// Sequential level-boundary hook, called before each level's
-    /// expansion with the node ids about to be expanded (workers are
-    /// joined, so a disk-backed store may evict here: everything a worker
-    /// can touch this level — the frontier's rows and the arena segments
-    /// they reference — is pinned resident until the next call).
-    fn begin_level(&mut self, _frontier: &[usize]) {}
-
-    /// Estimated resident bytes of the store's hot tier (rows + arenas +
-    /// fingerprint index + reload buffers), driving both the disk store's
-    /// eviction and the in-memory budget truncation.
-    fn resident_estimate(&self) -> usize {
-        0
-    }
-
-    /// Whether this store spills cold state to disk (if so, the memory
-    /// budget bounds residency by eviction instead of truncation).
-    fn spilling(&self) -> bool {
-        false
-    }
-}
-
-/// Rough resident bytes of a fingerprint index: `HashMap` control word +
-/// key + `Vec` header per entry, plus one `usize` per filed node id.
-fn index_bytes(entries: usize, ids: usize) -> usize {
-    entries * 48 + ids * 8
-}
-
-/// Folds per-process statuses into the streaming engine's terminal facts —
-/// the id-native twin of `Config::decided_values` plus the hung/undecided
-/// classification `properties.rs` derives per terminal.
-fn facts_from_statuses<'s>(statuses: impl Iterator<Item = &'s ProcStatus>) -> TerminalFacts {
-    let mut decided: Vec<Value> = Vec::new();
-    let mut any_hung = false;
-    let mut all_decided = true;
-    for status in statuses {
-        match status {
-            ProcStatus::Decided(v) => decided.push(v.clone()),
-            ProcStatus::Hung => {
-                any_hung = true;
-                all_decided = false;
-            }
-            ProcStatus::Fresh | ProcStatus::Running => all_decided = false,
-        }
-    }
-    decided.sort();
-    decided.dedup();
-    TerminalFacts {
-        decided,
-        any_hung,
-        all_decided,
-    }
-}
-
-/// Worker-produced successors of one step: each carrier paired with the pid
-/// permutation canonicalization applied (`None` when already canonical).
-type Successors<C> = Vec<(C, Option<Vec<usize>>)>;
-
-/// Deep-configuration backend: one [`Config`] per node, fingerprint index
-/// verified by deep equality.
-struct DeepStore<'a> {
-    spec: &'a SystemSpec,
-    rec: &'a Recorder,
-    configs: Vec<Config>,
-    index: HashMap<u64, Vec<usize>>,
-}
-
-impl<'a> DeepStore<'a> {
-    fn new(spec: &'a SystemSpec, rec: &'a Recorder, init: Config) -> Self {
-        let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-        index.entry(fingerprint(&init)).or_default().push(0);
-        DeepStore {
-            spec,
-            rec,
-            configs: vec![init],
-            index,
-        }
-    }
-}
-
-impl ConfigStore for DeepStore<'_> {
-    type Carrier = (Config, u64);
-
-    fn spec(&self) -> &SystemSpec {
-        self.spec
-    }
-
-    fn recorder(&self) -> &Recorder {
-        self.rec
-    }
-
-    fn enabled_bits(&self, i: usize) -> u64 {
-        self.configs[i].enabled_set().bits()
-    }
-
-    fn footprint(&self, i: usize, pid: Pid) -> Result<StepFootprint, SimError> {
-        self.spec.step_footprint(&self.configs[i], pid)
-    }
-
-    fn independent(&self, i: usize, a: &StepFootprint, b: &StepFootprint) -> bool {
-        self.spec.footprints_independent(&self.configs[i], a, b)
-    }
-
-    fn successors(
-        &self,
-        i: usize,
-        pid: Pid,
-        symmetry: bool,
-    ) -> Result<Successors<Self::Carrier>, SimError> {
-        let mut out = Vec::new();
-        let succs = {
-            let _t = self.rec.time_expand();
-            self.spec.successors(&self.configs[i], pid)?
-        };
-        for (next, _info) in succs {
-            let (next, perm) = if symmetry {
-                let _t = self.rec.time_canonicalize();
-                self.spec.canonicalize_config_perm(next)
-            } else {
-                (next, None)
-            };
-            let fp = {
-                let _t = self.rec.time_dedup();
-                fingerprint(&next)
-            };
-            out.push(((next, fp), perm));
-        }
-        Ok(out)
-    }
-
-    fn lookup(&self, (config, fp): &Self::Carrier) -> Option<usize> {
-        lookup(&self.index, &self.configs, *fp, config)
-    }
-
-    fn insert(&mut self, (config, fp): Self::Carrier, cap: usize) -> MergeSlot {
-        // A worker's miss can be this level's earlier insert; re-check.
-        if let Some(j) = lookup(&self.index, &self.configs, fp, &config) {
-            return MergeSlot::Known(j);
-        }
-        if self.configs.len() >= cap {
-            return MergeSlot::Capped;
-        }
-        let j = self.configs.len();
-        self.configs.push(config);
-        self.index.entry(fp).or_default().push(j);
-        MergeSlot::Added(j)
-    }
-
-    fn terminal_facts(&self, i: usize) -> TerminalFacts {
-        let c = &self.configs[i];
-        facts_from_statuses((0..c.nprocs()).map(|p| &c.proc_state(Pid::new(p)).status))
-    }
-
-    fn resident_estimate(&self) -> usize {
-        let per_config = std::mem::size_of::<Config>()
-            + self.configs.first().map_or(0, |c| {
-                (c.nobjects() + c.nprocs()) * std::mem::size_of::<usize>()
-            });
-        self.configs.len() * per_config + index_bytes(self.index.len(), self.configs.len())
-    }
-}
-
-/// A worker-stepped successor in id space: the [`PendingConfig`] plus the
-/// fingerprint of its id words when every slot resolved against the
-/// worker's interner snapshot (a successor carrying a genuinely fresh
-/// state cannot be in the snapshot's visited set, so it needs no
-/// fingerprint until the merge interns it).
-struct CompactCarrier {
-    pending: PendingConfig,
-    fp: Option<u64>,
-}
-
-/// Hash-consed backend: states live once in a [`StateInterner`], nodes are
-/// rows of `u32` id words in one flat array, and dedup verification is a
-/// word-for-word compare (sound because interning makes id equality
-/// equivalent to state equality).
-struct CompactStore<'a> {
-    spec: &'a SystemSpec,
-    rec: &'a Recorder,
+/// The caller picks the index key: the unsharded explorer files a row
+/// under the hash of its id words, a shard under the interner-independent
+/// content fingerprint that routed it there.
+struct RowStore {
     interner: StateInterner,
     nobjects: usize,
     /// Words per node row (`nobjects + nprocs`).
@@ -657,38 +401,43 @@ struct CompactStore<'a> {
     len: usize,
     index: HashMap<u64, Vec<usize>>,
     /// Node ids currently filed in `index` (drains reset it) — keeps
-    /// [`resident_estimate`](ConfigStore::resident_estimate) O(1).
+    /// [`resident_estimate`](Self::resident_estimate) O(1).
     index_ids: usize,
-    /// Disk spill state ([`StoreBackend::Disk`] only); `None` preserves
-    /// the fully-resident behavior bit for bit.
+    /// Disk spill state ([`StoreBackend::Disk`] only); `None` keeps
+    /// everything resident.
     spill: Option<Spill>,
 }
 
-impl<'a> CompactStore<'a> {
-    fn new(spec: &'a SystemSpec, rec: &'a Recorder, init: &Config) -> Self {
-        let mut interner = StateInterner::new();
-        let compact = interner.intern_config(init);
-        let words: Vec<u32> = compact.words().to_vec();
-        let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-        index.entry(fingerprint_words(&words)).or_default().push(0);
-        CompactStore {
-            spec,
-            rec,
-            interner,
-            nobjects: compact.nobjects(),
-            stride: words.len(),
-            words,
-            len: 1,
-            index,
-            index_ids: 1,
-            spill: None,
+impl RowStore {
+    /// An empty store for `init`'s shape, disk-backed with the given
+    /// hot-tier budget if any.
+    fn new(init: &Config, spill_budget: Option<usize>) -> Self {
+        let stride = init.nobjects() + init.nprocs();
+        RowStore {
+            interner: StateInterner::new(),
+            nobjects: init.nobjects(),
+            stride,
+            words: Vec::new(),
+            len: 0,
+            index: HashMap::new(),
+            index_ids: 0,
+            spill: spill_budget.map(|budget| Spill::new(stride, budget)),
         }
     }
 
-    /// Turns this store disk-backed with the given hot-tier budget.
-    fn enable_spill(&mut self, budget: usize) {
-        debug_assert!(self.spill.is_none());
-        self.spill = Some(Spill::new(self.stride, budget));
+    /// Interns `init` as node 0, filed under `key(words)`.
+    fn seed(&mut self, init: &Config, key: impl FnOnce(&[u32]) -> u64) {
+        debug_assert_eq!(self.len, 0);
+        let compact = self.interner.intern_config(init);
+        self.push(compact.words(), key(compact.words()));
+    }
+
+    /// Appends a row filed under `fp`.
+    fn push(&mut self, words: &[u32], fp: u64) {
+        self.words.extend_from_slice(words);
+        self.index.entry(fp).or_default().push(self.len);
+        self.index_ids += 1;
+        self.len += 1;
     }
 
     fn row(&self, i: usize) -> &[u32] {
@@ -709,16 +458,190 @@ impl<'a> CompactStore<'a> {
         }
     }
 
-    /// Restores (if evicted) and level-pins one complete arena segment;
-    /// tail segments are always resident and never evictable.
-    fn restore_and_pin(&mut self, procs: bool, seg: usize) {
-        restore_and_pin(&mut self.interner, &mut self.spill, self.rec, procs, seg);
+    /// Enabled-process bitset of node `i`.
+    fn enabled_bits(&self, i: usize) -> u64 {
+        self.interner.enabled_bits(self.nobjects, self.row(i))
+    }
+
+    /// Streaming-verdict facts of terminal node `i` (decided values, hung /
+    /// undecided classification), read off the id row — no deep `Config`
+    /// is materialized.
+    fn terminal_facts(&self, i: usize) -> TerminalFacts {
+        let mut decided: Vec<Value> = Vec::new();
+        let mut any_hung = false;
+        let mut all_decided = true;
+        for &id in &self.row(i)[self.nobjects..] {
+            match &self.interner.proc(id).status {
+                ProcStatus::Decided(v) => decided.push(v.clone()),
+                ProcStatus::Hung => {
+                    any_hung = true;
+                    all_decided = false;
+                }
+                ProcStatus::Fresh | ProcStatus::Running => all_decided = false,
+            }
+        }
+        decided.sort();
+        decided.dedup();
+        TerminalFacts {
+            decided,
+            any_hung,
+            all_decided,
+        }
+    }
+
+    /// All successors of stepping `pid` at node `i`, canonicalized when
+    /// `symmetry`, each with the pid permutation canonicalization applied
+    /// (`None` when already canonical).
+    fn successors(
+        &self,
+        spec: &SystemSpec,
+        i: usize,
+        pid: Pid,
+        symmetry: bool,
+        timers: &Recorder,
+    ) -> Result<Successors, SimError> {
+        let succs = {
+            let _t = timers.time_expand();
+            spec.compact_successors(&self.interner, self.row(i), pid)?
+        };
+        Ok(succs
+            .into_iter()
+            .map(|mut pending| {
+                let perm = if symmetry {
+                    let _t = timers.time_canonicalize();
+                    spec.compact_canonicalize(&self.interner, &mut pending)
+                } else {
+                    None
+                };
+                (pending, perm)
+            })
+            .collect())
+    }
+
+    /// Worker-side dedup: the resident node filed under `fp` whose row is
+    /// `words`. Probes only the in-memory index and only resident rows — a
+    /// spilled candidate is a safe false miss (the merge re-checks with
+    /// faulting).
+    fn find_resident(&self, fp: u64, words: &[u32], rec: &Recorder) -> Option<usize> {
+        let spilling = self.spill.is_some();
+        self.index
+            .get(&fp)?
+            .iter()
+            .copied()
+            .find(|&j| match self.row_resident(j) {
+                Some(row) => {
+                    if spilling {
+                        rec.count_store_hot_hits(1);
+                    }
+                    row == words
+                }
+                None => {
+                    rec.count_store_hot_misses(1);
+                    false
+                }
+            })
+    }
+
+    /// Merge-side (authoritative) dedup: the node filed under `fp` whose
+    /// row is `words`, faulting cold candidates from disk. The spilled
+    /// index is probed only when every in-memory candidate misses — at
+    /// most one row can equal `words`, so a hit ends the search.
+    fn find(&mut self, fp: u64, words: &[u32], rec: &Recorder) -> Option<usize> {
+        let RowStore {
+            words: hot,
+            stride,
+            index,
+            spill,
+            ..
+        } = self;
+        let stride = *stride;
+        let hot_base = spill.as_ref().map_or(0, Spill::hot_base);
+        let spilling = spill.is_some();
+        let matches = |j: usize, spill: &mut Option<Spill>| {
+            if j >= hot_base {
+                if spilling {
+                    rec.count_store_hot_hits(1);
+                }
+                let k = j - hot_base;
+                return &hot[k * stride..(k + 1) * stride] == words;
+            }
+            let spill = spill.as_mut().expect("non-resident row implies a spill");
+            if let Some(row) = spill.reloaded_row(j) {
+                rec.count_store_hot_hits(1);
+                return row == words;
+            }
+            rec.count_store_hot_misses(1);
+            spill.fault_row(j, rec) == words
+        };
+        let mem = index.get(&fp).map_or(&[][..], Vec::as_slice);
+        if let Some(j) = mem.iter().copied().find(|&j| matches(j, spill)) {
+            return Some(j);
+        }
+        let mut cold = Vec::new();
+        spill.as_ref()?.spilled_candidates(fp, &mut cold, rec);
+        cold.into_iter().find(|&j| matches(j, spill))
+    }
+
+    /// Restores (if evicted) and level-pins complete arena segments; tail
+    /// (incomplete) segments are always resident and never written, so
+    /// they are skipped.
+    fn restore_and_pin(&mut self, segs: &[(bool, usize)], rec: &Recorder) {
+        for &(procs, seg) in segs {
+            let interner = &mut self.interner;
+            let complete = if procs {
+                interner.proc_segments()
+            } else {
+                interner.object_segments()
+            };
+            if seg >= complete {
+                continue;
+            }
+            let resident = if procs {
+                interner.proc_segment_resident(seg)
+            } else {
+                interner.object_segment_resident(seg)
+            };
+            let spill = self
+                .spill
+                .as_mut()
+                .expect("segment pinning implies an active spill");
+            if !resident {
+                let bytes = spill.read_segment(procs, seg, rec);
+                if procs {
+                    interner.restore_proc_segment(seg, &bytes);
+                } else {
+                    interner.restore_object_segment(seg, &bytes);
+                }
+            }
+            spill.pin_segment(procs, seg);
+        }
+    }
+
+    /// Sequential level-boundary hook, called with the node ids about to be
+    /// expanded (workers are joined, so a disk-backed store may evict here:
+    /// everything a worker can touch this level — the frontier's rows and
+    /// the arena segments they reference — is pinned resident until the
+    /// next call).
+    fn begin_level(&mut self, frontier: &[usize], rec: &Recorder) {
+        let Some(spill) = self.spill.as_mut() else {
+            return;
+        };
+        spill.level += 1;
+        spill.clear_reloaded();
+        let budget = spill.budget;
+        if self.resident_estimate() > budget {
+            // Rows first: the append-only node rows are the dominant
+            // linear cost, and spilling them is one sequential write.
+            let rows = std::mem::take(&mut self.words);
+            self.spill.as_mut().unwrap().spill_rows(&rows, rec);
+        }
+        self.pin_frontier(frontier, rec);
+        self.evict_to_budget(rec);
     }
 
     /// Makes every frontier row and every arena segment those rows
     /// reference resident, pinned for the whole level.
-    fn pin_frontier(&mut self, frontier: &[usize]) {
-        let rec = self.rec;
+    fn pin_frontier(&mut self, frontier: &[usize], rec: &Recorder) {
         let hot_base = self.spill.as_ref().map_or(0, Spill::hot_base);
         for &i in frontier {
             if i < hot_base {
@@ -730,44 +653,61 @@ impl<'a> CompactStore<'a> {
         }
         let mut segs: Vec<(bool, usize)> = Vec::new();
         for &i in frontier {
-            let row = self.row(i);
-            for (slot, &id) in row.iter().enumerate() {
+            for (slot, &id) in self.row(i).iter().enumerate() {
                 segs.push((slot >= self.nobjects, id as usize / ARENA_SEGMENT));
             }
         }
         segs.sort_unstable();
         segs.dedup();
-        for (procs, seg) in segs {
-            self.restore_and_pin(procs, seg);
-        }
+        self.restore_and_pin(&segs, rec);
     }
 
     /// Evicts cold state until the resident estimate fits the budget:
-    /// complete, unpinned arena segments oldest-pin-first, then (still
-    /// over) the in-memory fingerprint index drains to the sorted spilled
-    /// index.
-    fn evict_to_budget(&mut self) {
-        let rec = self.rec;
+    /// complete arena segments not pinned this level, oldest pin first,
+    /// written on their first eviction only (they are immutable once
+    /// complete); then, still over, the in-memory fingerprint index drains
+    /// to the sorted spilled index.
+    fn evict_to_budget(&mut self, rec: &Recorder) {
         let Some(spill) = self.spill.as_ref() else {
             return;
         };
-        let budget = spill.budget;
-        let level = spill.level;
+        let (budget, level) = (spill.budget, spill.level);
         if self.resident_estimate() <= budget {
             return;
         }
-        let cands = evictable_segments(&self.interner, self.spill.as_ref().unwrap(), level);
+        let interner = &self.interner;
+        let mut cands: Vec<(u64, bool, usize)> = Vec::new();
+        for seg in 0..interner.object_segments() {
+            let pin = spill.obj_pin.get(seg).copied().unwrap_or(0);
+            if interner.object_segment_resident(seg) && pin < level {
+                cands.push((pin, false, seg));
+            }
+        }
+        for seg in 0..interner.proc_segments() {
+            let pin = spill.proc_pin.get(seg).copied().unwrap_or(0);
+            if interner.proc_segment_resident(seg) && pin < level {
+                cands.push((pin, true, seg));
+            }
+        }
+        cands.sort_unstable();
         for (_, procs, seg) in cands {
             if self.resident_estimate() <= budget {
                 break;
             }
-            evict_segment(
-                &mut self.interner,
-                self.spill.as_mut().unwrap(),
-                rec,
-                procs,
-                seg,
-            );
+            let spill = self.spill.as_mut().unwrap();
+            if !spill.has_segment(procs, seg) {
+                let bytes = if procs {
+                    self.interner.encode_proc_segment(seg)
+                } else {
+                    self.interner.encode_object_segment(seg)
+                };
+                spill.write_segment(procs, seg, &bytes, rec);
+            }
+            if procs {
+                self.interner.evict_proc_segment(seg);
+            } else {
+                self.interner.evict_object_segment(seg);
+            }
         }
         if self.resident_estimate() > budget {
             let mut index = std::mem::take(&mut self.index);
@@ -777,391 +717,78 @@ impl<'a> CompactStore<'a> {
         }
     }
 
-    /// Restores the arena segments holding cold hash-colliding candidates
-    /// of `pending`'s fresh states — `finalize` below requires every such
-    /// candidate resident (the interner panics otherwise, because
-    /// skipping one would break the id ⇔ value bijection).
-    fn restore_cold(&mut self, pending: &PendingConfig) {
-        if self.spill.is_none() {
-            return;
-        }
-        let mut cold: Vec<(bool, usize)> = Vec::new();
-        self.interner.cold_segments_for_pending(pending, &mut cold);
-        for (procs, seg) in cold {
-            self.restore_and_pin(procs, seg);
-        }
-    }
-
-    /// Reconstitutes the fully-resident representation (freeze time):
-    /// every evicted segment restored, the on-disk row prefix prepended
-    /// back onto the hot vec, the spill (and its run directory) dropped.
-    fn unspill(&mut self) {
-        unspill(
-            &mut self.interner,
-            &mut self.spill,
-            &mut self.words,
-            self.rec,
-        );
-    }
-}
-
-/// Restores (if evicted) and level-pins one complete arena segment —
-/// shared by [`CompactStore`] and [`CompactShard`]. A tail (incomplete)
-/// segment is always resident and never written, so it is skipped.
-fn restore_and_pin(
-    interner: &mut StateInterner,
-    spill: &mut Option<Spill>,
-    rec: &Recorder,
-    procs: bool,
-    seg: usize,
-) {
-    let complete = if procs {
-        interner.proc_segments()
-    } else {
-        interner.object_segments()
-    };
-    if seg >= complete {
-        return;
-    }
-    let resident = if procs {
-        interner.proc_segment_resident(seg)
-    } else {
-        interner.object_segment_resident(seg)
-    };
-    let spill = spill
-        .as_mut()
-        .expect("segment pinning implies an active spill");
-    if !resident {
-        let bytes = spill.read_segment(procs, seg, rec);
-        if procs {
-            interner.restore_proc_segment(seg, &bytes);
-        } else {
-            interner.restore_object_segment(seg, &bytes);
-        }
-    }
-    spill.pin_segment(procs, seg);
-}
-
-/// Complete, resident arena segments not pinned this level, oldest pin
-/// first — the order eviction walks until the budget is met.
-fn evictable_segments(
-    interner: &StateInterner,
-    spill: &Spill,
-    level: u64,
-) -> Vec<(u64, bool, usize)> {
-    let mut cands = Vec::new();
-    for seg in 0..interner.object_segments() {
-        if interner.object_segment_resident(seg) {
-            let pin = spill.obj_pin.get(seg).copied().unwrap_or(0);
-            if pin < level {
-                cands.push((pin, false, seg));
-            }
-        }
-    }
-    for seg in 0..interner.proc_segments() {
-        if interner.proc_segment_resident(seg) {
-            let pin = spill.proc_pin.get(seg).copied().unwrap_or(0);
-            if pin < level {
-                cands.push((pin, true, seg));
-            }
-        }
-    }
-    cands.sort_unstable();
-    cands
-}
-
-/// Writes (first eviction only — arena segments are immutable once
-/// complete) and evicts one segment, dropping its `Arc`ed states.
-fn evict_segment(
-    interner: &mut StateInterner,
-    spill: &mut Spill,
-    rec: &Recorder,
-    procs: bool,
-    seg: usize,
-) {
-    if !spill.has_segment(procs, seg) {
-        let bytes = if procs {
-            interner.encode_proc_segment(seg)
-        } else {
-            interner.encode_object_segment(seg)
-        };
-        spill.write_segment(procs, seg, &bytes, rec);
-    }
-    if procs {
-        interner.evict_proc_segment(seg);
-    } else {
-        interner.evict_object_segment(seg);
-    }
-}
-
-/// Freeze-time reconstitution shared by both compact stores: every
-/// evicted segment restored (bit-exact — the codec round-trips and ids
-/// never move), the on-disk row prefix streamed back in front of the hot
-/// suffix, and the spill dropped (removing its run directory). The
-/// result is indistinguishable from a fully in-memory exploration's.
-fn unspill(
-    interner: &mut StateInterner,
-    spill: &mut Option<Spill>,
-    words: &mut Vec<u32>,
-    rec: &Recorder,
-) {
-    let Some(spill) = spill.take() else {
-        return;
-    };
-    for seg in 0..interner.object_segments() {
-        if !interner.object_segment_resident(seg) {
-            let bytes = spill.read_segment(false, seg, rec);
-            interner.restore_object_segment(seg, &bytes);
-        }
-    }
-    for seg in 0..interner.proc_segments() {
-        if !interner.proc_segment_resident(seg) {
-            let bytes = spill.read_segment(true, seg, rec);
-            interner.restore_proc_segment(seg, &bytes);
-        }
-    }
-    if spill.hot_base() > 0 {
-        let mut all = spill.read_all_rows(rec);
-        all.append(words);
-        *words = all;
-    }
-}
-
-/// The merge-side (authoritative) dedup shared by both compact stores:
-/// the id of the stored row equal to `words`, if any. `hot` holds the rows
-/// `[hot_base, ..)` and `mem` the in-memory index's candidates for `fp`;
-/// cold candidates are faulted from disk. The spilled index is probed only
-/// when every in-memory candidate misses — at most one row can equal
-/// `words`, so a hit ends the search.
-fn merge_dedup(
-    hot: &[u32],
-    stride: usize,
-    spill: &mut Option<Spill>,
-    mem: &[usize],
-    fp: u64,
-    words: &[u32],
-    rec: &Recorder,
-) -> Option<usize> {
-    let hot_base = spill.as_ref().map_or(0, Spill::hot_base);
-    let spilling = spill.is_some();
-    let matches = |j: usize, spill: &mut Option<Spill>| {
-        if j >= hot_base {
-            if spilling {
-                rec.count_store_hot_hits(1);
-            }
-            let k = j - hot_base;
-            return &hot[k * stride..(k + 1) * stride] == words;
-        }
-        let spill = spill.as_mut().expect("non-resident row implies a spill");
-        if let Some(row) = spill.reloaded_row(j) {
-            rec.count_store_hot_hits(1);
-            return row == words;
-        }
-        rec.count_store_hot_misses(1);
-        spill.fault_row(j, rec) == words
-    };
-    if let Some(j) = mem.iter().copied().find(|&j| matches(j, spill)) {
-        return Some(j);
-    }
-    let mut cold = Vec::new();
-    spill.as_ref()?.spilled_candidates(fp, &mut cold, rec);
-    cold.into_iter().find(|&j| matches(j, spill))
-}
-
-impl ConfigStore for CompactStore<'_> {
-    type Carrier = CompactCarrier;
-
-    fn spec(&self) -> &SystemSpec {
-        self.spec
-    }
-
-    fn recorder(&self) -> &Recorder {
-        self.rec
-    }
-
-    fn enabled_bits(&self, i: usize) -> u64 {
-        self.interner.enabled_bits(self.nobjects, self.row(i))
-    }
-
-    fn footprint(&self, i: usize, pid: Pid) -> Result<StepFootprint, SimError> {
-        self.spec
-            .compact_footprint(&self.interner, self.row(i), pid)
-    }
-
-    fn independent(&self, i: usize, a: &StepFootprint, b: &StepFootprint) -> bool {
-        match (a, b) {
-            (StepFootprint::Local, _) | (_, StepFootprint::Local) => true,
-            (
-                StepFootprint::Object { obj: oa, op: pa },
-                StepFootprint::Object { obj: ob, op: pb },
-            ) => {
-                oa != ob
-                    || self.spec.ops_commute(
-                        *oa,
-                        self.interner.object(self.row(i)[oa.index()]),
-                        pa,
-                        pb,
-                    )
-            }
-        }
-    }
-
-    fn successors(
-        &self,
-        i: usize,
-        pid: Pid,
-        symmetry: bool,
-    ) -> Result<Successors<Self::Carrier>, SimError> {
-        let row = self.row(i);
-        let mut out = Vec::new();
-        let succs = {
-            let _t = self.rec.time_expand();
-            self.spec.compact_successors(&self.interner, row, pid)?
-        };
-        for mut pending in succs {
-            let perm = if symmetry {
-                let _t = self.rec.time_canonicalize();
-                self.spec.compact_canonicalize(&self.interner, &mut pending)
-            } else {
-                None
-            };
-            let fp = {
-                let _t = self.rec.time_dedup();
-                pending.resolved_words().map(fingerprint_words)
-            };
-            out.push((CompactCarrier { pending, fp }, perm));
-        }
-        Ok(out)
-    }
-
-    fn lookup(&self, c: &Self::Carrier) -> Option<usize> {
-        let words = c.pending.resolved_words()?;
-        let fp = c.fp?;
-        // Worker-side: probe only the in-memory index and only resident
-        // rows — a spilled candidate is a safe false miss (fresh state
-        // rides by value; the merge's `insert` re-checks with faulting).
-        let spilling = self.spill.is_some();
-        self.index
-            .get(&fp)?
-            .iter()
-            .copied()
-            .find(|&j| match self.row_resident(j) {
-                Some(row) => {
-                    if spilling {
-                        self.rec.count_store_hot_hits(1);
-                    }
-                    row == words
-                }
-                None => {
-                    self.rec.count_store_hot_misses(1);
-                    false
-                }
-            })
-    }
-
-    fn insert(&mut self, c: Self::Carrier, cap: usize) -> MergeSlot {
-        // Intern the carrier's fresh states (if any), then dedup by id
-        // words — the compact twin of the deep path's re-lookup. With a
-        // spill, every cold hash-colliding candidate of the fresh states
-        // is restored first: the merge is the authoritative dedup, so
-        // unlike the worker's `lookup` it may not skip evicted state.
-        self.restore_cold(&c.pending);
-        let compact = self.interner.finalize(c.pending);
-        let words = compact.words();
-        let fp = fingerprint_words(words);
-        let mem = self.index.get(&fp).map_or(&[][..], Vec::as_slice);
-        if let Some(j) = merge_dedup(
-            &self.words,
-            self.stride,
-            &mut self.spill,
-            mem,
-            fp,
-            words,
-            self.rec,
-        ) {
-            return MergeSlot::Known(j);
-        }
-        if self.len >= cap {
-            return MergeSlot::Capped;
-        }
-        let j = self.len;
-        self.words.extend_from_slice(words);
-        self.index.entry(fp).or_default().push(j);
-        self.index_ids += 1;
-        self.len += 1;
-        MergeSlot::Added(j)
-    }
-
-    fn terminal_facts(&self, i: usize) -> TerminalFacts {
-        let row = self.row(i);
-        facts_from_statuses(
-            row[self.nobjects..]
-                .iter()
-                .map(|&id| &self.interner.proc(id).status),
-        )
-    }
-
-    fn begin_level(&mut self, frontier: &[usize]) {
-        if self.spill.is_none() {
-            return;
-        }
-        let rec = self.rec;
-        {
-            let spill = self.spill.as_mut().unwrap();
-            spill.level += 1;
-            spill.clear_reloaded();
-        }
-        let budget = self.spill.as_ref().unwrap().budget;
-        if self.resident_estimate() > budget {
-            // Rows first: the append-only node rows are the dominant
-            // linear cost, and spilling them is one sequential write.
-            let rows = std::mem::take(&mut self.words);
-            self.spill.as_mut().unwrap().spill_rows(&rows, rec);
-        }
-        self.pin_frontier(frontier);
-        self.evict_to_budget();
-    }
-
+    /// Estimated resident bytes of the hot tier — interner tables and
+    /// unique states, hot rows, the fingerprint index (`HashMap` control
+    /// word + key + `Vec` header per entry, one `usize` per filed id) and
+    /// the spill's reload buffers and fences — driving both the disk
+    /// store's eviction and the in-memory budget truncation.
     fn resident_estimate(&self) -> usize {
         self.interner.table_bytes()
             + self.interner.resident_state_bytes()
             + self.words.len() * std::mem::size_of::<u32>()
-            + index_bytes(self.index.len(), self.index_ids)
+            + self.index.len() * 48
+            + self.index_ids * 8
             + self
                 .spill
                 .as_ref()
                 .map_or(0, |s| s.reloaded_bytes() + s.fence_bytes())
     }
 
-    fn spilling(&self) -> bool {
-        self.spill.is_some()
+    /// Reconstitutes the fully resident representation (freeze time):
+    /// every evicted segment restored (bit-exact — the codec round-trips
+    /// and ids never move), the on-disk row prefix streamed back in front
+    /// of the hot suffix, and the spill dropped (removing its run
+    /// directory). The result is indistinguishable from an in-memory
+    /// exploration's.
+    fn unspill(&mut self, rec: &Recorder) {
+        let Some(spill) = self.spill.take() else {
+            return;
+        };
+        for seg in 0..self.interner.object_segments() {
+            if !self.interner.object_segment_resident(seg) {
+                let bytes = spill.read_segment(false, seg, rec);
+                self.interner.restore_object_segment(seg, &bytes);
+            }
+        }
+        for seg in 0..self.interner.proc_segments() {
+            if !self.interner.proc_segment_resident(seg) {
+                let bytes = spill.read_segment(true, seg, rec);
+                self.interner.restore_proc_segment(seg, &bytes);
+            }
+        }
+        if spill.hot_base() > 0 {
+            let mut all = spill.read_all_rows(rec);
+            all.append(&mut self.words);
+            self.words = all;
+        }
+    }
+
+    /// The frozen node arena of an unsharded exploration.
+    fn into_nodes(mut self, rec: &Recorder) -> InternedNodes {
+        self.unspill(rec);
+        InternedNodes {
+            interner: self.interner,
+            nobjects: self.nobjects,
+            stride: self.stride,
+            words: self.words,
+        }
     }
 }
 
-/// A successor resolved by a level-expansion worker.
-enum StepResult<C> {
-    /// The successor already had a node index before this level's merge.
-    Existing(usize),
-    /// A carrier unseen at expansion time; the merge re-checks it against
-    /// nodes added earlier in the level before inserting.
-    Fresh(C),
-}
-
-/// The expansion of one work item: successors in stable (pid, outcome)
-/// order, each with the sleep set to install at the successor (all-zero
-/// without POR).
-struct NodeExpansion<C> {
-    steps: Vec<(Pid, StepResult<C>, u64)>,
-    /// The pids this item actually fired.
-    fired: u64,
-    /// Ample candidates suppressed by the sleep set (first visits only).
-    slept: u64,
-    terminal: bool,
+/// How the merge placed one successor.
+enum MergeSlot {
+    /// Already a node (possibly added earlier in this level).
+    Known(usize),
+    /// Newly added as the next node id.
+    Added,
+    /// Rejected: the exploration is at its configuration (or memory)
+    /// bound.
+    Capped,
 }
 
 /// One unit of frontier work.
 ///
-/// A `fresh` item is a node's first expansion: the worker picks the ample
+/// A `fresh` item is a node's first expansion: the planner picks the ample
 /// set itself and reads the node's entry sleep set from `first_sleep`. A
 /// non-fresh item re-expands an already-visited node with an explicit
 /// `fire` mask (sleep-set wake-ups and cycle-proviso escalations).
@@ -1171,6 +798,28 @@ struct WorkItem {
     fire: u64,
     sleep: u64,
     fresh: bool,
+}
+
+impl WorkItem {
+    fn fresh(node: usize) -> Self {
+        WorkItem {
+            node,
+            fire: 0,
+            sleep: 0,
+            fresh: true,
+        }
+    }
+}
+
+/// The expansion of one work item: one `T` per successor in stable
+/// (pid, outcome) order.
+struct Expansion<T> {
+    steps: Vec<T>,
+    /// The pids this item actually fired.
+    fired: u64,
+    /// Ample candidates suppressed by the sleep set (first visits only).
+    slept: u64,
+    terminal: bool,
 }
 
 /// Picks a persistent ("ample") subset of the enabled pids of one
@@ -1230,6 +879,117 @@ fn choose_ample(spec: &SystemSpec, enabled: u64, fps: &[Option<StepFootprint>]) 
     best
 }
 
+/// The partial-order-reduction plan of one work item: which enabled pids
+/// it fires, the sleep set it starts from, the ample candidates that sleep
+/// set suppressed, and the per-pid step footprints every successor's sleep
+/// mask is computed from. Without POR it fires every enabled pid and all
+/// sleep masks are zero.
+struct PorPlan<'a> {
+    spec: &'a SystemSpec,
+    interner: &'a StateInterner,
+    /// The expanded node's id row.
+    words: &'a [u32],
+    por: bool,
+    enabled: u64,
+    fire: u64,
+    sleep: u64,
+    slept: u64,
+    fps: Vec<Option<StepFootprint>>,
+}
+
+impl<'a> PorPlan<'a> {
+    /// Plans `item`, whose node is row `row` of `store` with enabled set
+    /// `enabled`.
+    fn new(
+        store: &'a RowStore,
+        row: usize,
+        enabled: u64,
+        item: &WorkItem,
+        x: ExpandCtx<'a>,
+        timers: &Recorder,
+    ) -> Result<Self, SimError> {
+        let mut plan = PorPlan {
+            spec: x.spec,
+            interner: &store.interner,
+            words: store.row(row),
+            por: x.opts.por,
+            enabled,
+            fire: enabled,
+            sleep: 0,
+            slept: 0,
+            fps: Vec::new(),
+        };
+        if !plan.por {
+            return Ok(plan);
+        }
+        let _t = timers.time_por();
+        plan.fps = vec![None; plan.spec.nprocs()];
+        let mut it = enabled;
+        while it != 0 {
+            let i = it.trailing_zeros() as usize;
+            it &= it - 1;
+            let fp = plan
+                .spec
+                .compact_footprint(plan.interner, plan.words, Pid::new(i))?;
+            plan.fps[i] = Some(fp);
+        }
+        if item.fresh {
+            plan.sleep = x.first_sleep[item.node] & enabled;
+            let ample = choose_ample(plan.spec, enabled, &plan.fps);
+            plan.fire = ample & !plan.sleep;
+            plan.slept = ample & plan.sleep;
+            if plan.fire == 0 {
+                // Never strand a node with enabled processes: un-sleep the
+                // lowest ample candidate, so every non-terminal node keeps
+                // at least one outgoing edge (`check_nonblocking` depends
+                // on it).
+                let low = ample & ample.wrapping_neg();
+                plan.fire = low;
+                plan.slept &= !low;
+            }
+        } else {
+            plan.fire = item.fire;
+            plan.sleep = item.sleep;
+        }
+        Ok(plan)
+    }
+
+    /// The sleep set to install at a successor of firing pid `i` (reached
+    /// through canonicalization permutation `perm`), given the pids `done`
+    /// this item fired before `i`: the incoming sleep plus those earlier
+    /// siblings, minus `i`, filtered to the pids whose next step is
+    /// independent of `i`'s.
+    fn successor_sleep(
+        &self,
+        i: usize,
+        done: u64,
+        perm: Option<&[usize]>,
+        timers: &Recorder,
+    ) -> u64 {
+        let base = (self.sleep | done) & self.enabled & !(1 << i);
+        if !self.por || base == 0 {
+            return 0;
+        }
+        let _t = timers.time_por();
+        let me = self.fps[i].as_ref().expect("enabled pid has a footprint");
+        let mut sleep = 0u64;
+        let mut qs = base;
+        while qs != 0 {
+            let q = qs.trailing_zeros() as usize;
+            qs &= qs - 1;
+            let other = self.fps[q].as_ref().expect("enabled pid has a footprint");
+            if self
+                .spec
+                .compact_footprints_independent(self.interner, self.words, me, other)
+            {
+                sleep |= 1 << q;
+            }
+        }
+        // The canonical successor renames pids; rename the mask with it.
+        perm.map_or(sleep, |perm| permute_mask(sleep, perm))
+    }
+}
+
 /// The level-shaped facts a heartbeat reports, frozen at level start so
 /// expansion workers can tick the progress sink without touching merge
 /// state. Heartbeats fire off the *expansion counter* (every `N`
@@ -1245,171 +1005,516 @@ struct LevelCtx {
     remaining: usize,
 }
 
-/// Expands one work item against a read-only snapshot of the graph.
-fn expand_item<S: ConfigStore>(
-    store: &S,
-    first_sleep: &[u64],
-    item: WorkItem,
-    opts: &ExploreOptions,
-    ctx: LevelCtx,
-) -> Result<NodeExpansion<S::Carrier>, SimError> {
-    let rec = store.recorder();
-    rec.count_expansions(1);
-    rec.heartbeat(ctx.level, ctx.nodes, ctx.frontier, ctx.remaining);
-    let node = item.node;
-    let enabled = store.enabled_bits(node);
+/// Read-only per-level context shared by every expansion worker.
+#[derive(Clone, Copy)]
+struct ExpandCtx<'a> {
+    spec: &'a SystemSpec,
+    first_sleep: &'a [u64],
+    opts: &'a ExploreOptions,
+    /// Shared counters + heartbeat sink (the exploration's recorder; a
+    /// shard's child recorder only collects phase timers).
+    main: &'a Recorder,
+    lvl: LevelCtx,
+}
+
+/// Expands one work item against a read-only snapshot of `store`, where
+/// the item's node is row `row`: plans the fired pids, steps each one,
+/// and hands every successor with its sleep mask to `emit` (which dedups
+/// it against the snapshot, or routes it to its owning shard).
+fn expand_node<T>(
+    store: &RowStore,
+    row: usize,
+    item: &WorkItem,
+    x: ExpandCtx<'_>,
+    timers: &Recorder,
+    mut emit: impl FnMut(Pid, PendingConfig, u64) -> T,
+) -> Result<Expansion<T>, SimError> {
+    x.main.count_expansions(1);
+    x.main
+        .heartbeat(x.lvl.level, x.lvl.nodes, x.lvl.frontier, x.lvl.remaining);
+    let enabled = store.enabled_bits(row);
     if enabled == 0 {
-        return Ok(NodeExpansion {
+        return Ok(Expansion {
             steps: Vec::new(),
             fired: 0,
             slept: 0,
             terminal: true,
         });
     }
-
-    // Per-pid step footprints: ample selection and successor sleep masks
-    // both need them (POR only).
-    let mut fps: Vec<Option<StepFootprint>> = Vec::new();
-    if opts.por {
-        let _t = rec.time_por();
-        fps = vec![None; store.spec().nprocs()];
-        let mut it = enabled;
-        while it != 0 {
-            let i = it.trailing_zeros() as usize;
-            it &= it - 1;
-            fps[i] = Some(store.footprint(node, Pid::new(i))?);
-        }
-    }
-
-    let (fire, sleep, slept) = if !opts.por {
-        (enabled, 0, 0)
-    } else if item.fresh {
-        let _t = rec.time_por();
-        let sleep = first_sleep[node] & enabled;
-        let ample = choose_ample(store.spec(), enabled, &fps);
-        let mut fire = ample & !sleep;
-        let mut slept = ample & sleep;
-        if fire == 0 {
-            // Never strand a node with enabled processes: un-sleep the
-            // lowest ample candidate, so every non-terminal node keeps at
-            // least one outgoing edge (`check_nonblocking` depends on it).
-            let low = ample & ample.wrapping_neg();
-            fire = low;
-            slept &= !low;
-        }
-        (fire, sleep, slept)
-    } else {
-        (item.fire, item.sleep, 0)
-    };
-
+    let plan = PorPlan::new(store, row, enabled, item, x, timers)?;
     let mut steps = Vec::new();
     let mut done = 0u64; // earlier siblings fired by this item
-    let mut it = fire;
+    let mut it = plan.fire;
     while it != 0 {
         let i = it.trailing_zeros() as usize;
         it &= it - 1;
         let pid = Pid::new(i);
-        // Sleep basis at the successor: the incoming sleep plus this item's
-        // earlier siblings, minus the stepping pid — filtered below to the
-        // pids whose next step is independent of this one.
-        let base = if opts.por {
-            (sleep | done) & enabled & !(1 << i)
-        } else {
-            0
-        };
-        for (next, perm) in store.successors(node, pid, opts.symmetry)? {
+        for (next, perm) in store.successors(x.spec, row, pid, x.opts.symmetry, timers)? {
             if perm.is_some() {
-                rec.count_symmetry_hits(1);
+                x.main.count_symmetry_hits(1);
             }
-            let mut succ_sleep = 0u64;
-            if base != 0 {
-                let _t = rec.time_por();
-                let me = fps[i].as_ref().expect("enabled pid has a footprint");
-                let mut qs = base;
-                while qs != 0 {
-                    let q = qs.trailing_zeros() as usize;
-                    qs &= qs - 1;
-                    let other = fps[q].as_ref().expect("enabled pid has a footprint");
-                    if store.independent(node, me, other) {
-                        succ_sleep |= 1 << q;
-                    }
-                }
-                if let Some(perm) = &perm {
-                    // The canonical successor renames pids; rename the
-                    // sleep mask with it.
-                    succ_sleep = permute_mask(succ_sleep, perm);
-                }
-            }
-            let step = {
-                let _t = rec.time_dedup();
-                match store.lookup(&next) {
-                    Some(j) => StepResult::Existing(j),
-                    None => StepResult::Fresh(next),
-                }
-            };
-            steps.push((pid, step, succ_sleep));
+            let sleep = plan.successor_sleep(i, done, perm.as_deref(), timers);
+            steps.push(emit(pid, next, sleep));
         }
         done |= 1 << i;
     }
-    rec.count_generated(steps.len() as u64);
-    Ok(NodeExpansion {
+    x.main.count_generated(steps.len() as u64);
+    Ok(Expansion {
         steps,
-        fired: fire,
-        slept,
+        fired: plan.fire,
+        slept: plan.slept,
         terminal: false,
     })
 }
 
-/// Expands `items` against a read-only snapshot of the graph.
-fn expand_chunk<S: ConfigStore>(
-    store: &S,
-    first_sleep: &[u64],
-    items: &[WorkItem],
-    opts: &ExploreOptions,
-    ctx: LevelCtx,
-) -> Result<Vec<NodeExpansion<S::Carrier>>, SimError> {
-    let mut out = Vec::with_capacity(items.len());
-    for &item in items {
-        out.push(expand_item(store, first_sleep, item, opts, ctx)?);
-    }
-    Ok(out)
-}
-
-/// Below this frontier size a level is always expanded sequentially:
+/// Below this many work items a level is always expanded in-line:
 /// spawning scoped threads costs more than stepping a handful of nodes,
 /// and the merge produces the same graph either way.
 const PARALLEL_THRESHOLD: usize = 32;
 
 /// Hardware threads the host can actually run concurrently (cached; 1 on
-/// query failure). Sharded exploration processes shards in-line on a
-/// single-core host: the graph is identical either way, spawning only
-/// costs, and a shard worker's wall-clock phase timers would otherwise
-/// absorb the time it spent descheduled behind its sibling workers.
+/// query failure).
 fn host_parallelism() -> usize {
     static CACHED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CACHED.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
+/// Whether a level of `items` work items is split across `workers`
+/// threads — the one spawn rule of both drivers. A single-core host runs
+/// everything in-line: the graph is identical either way, spawning only
+/// costs, and a worker's wall-clock phase timers would otherwise absorb
+/// the time it spent descheduled behind its siblings.
+fn spawn_workers(workers: usize, items: usize) -> bool {
+    workers > 1 && items >= PARALLEL_THRESHOLD && host_parallelism() > 1
+}
+
+/// Global per-node BFS bookkeeping, shared by both drivers: each driver
+/// replays its level's expansions into it in the same (frontier, step)
+/// order, so every decision — node numbering, edges, sleep sets, cycle
+/// proviso, revisit wake-ups, streaming verdict — is made once, here.
+struct Bfs<'a> {
+    opts: &'a ExploreOptions,
+    rec: &'a Recorder,
+    /// First-discovery BFS level per node; doubles as the cycle proviso's
+    /// back-edge detector. The sleep-set state below is all-zero without
+    /// POR.
+    depth: Vec<u32>,
+    first_sleep: Vec<u64>,
+    /// Pids fired or enqueued-and-merged, per node.
+    explored: Vec<u64>,
+    /// Pids suppressed by sleep sets, per node.
+    slept: Vec<u64>,
+    /// Pids enqueued, not yet merged, per node.
+    pending: Vec<u64>,
+    expanded: Vec<bool>,
+    /// Escalated to full expansion by the cycle proviso, per node.
+    full: Vec<bool>,
+    /// Flat (from, edge) buffer, frozen into CSR at the end.
+    edge_buf: Vec<(u32, Edge)>,
+    terminals: Vec<usize>,
+    truncated: bool,
+    /// Streaming-verdict accumulator (verdict goal only). Fed in merge
+    /// order; consulted once per level, after the revisits, so the exit
+    /// point — and with it the explored-config count — is identical for
+    /// every thread count, shard count and store backend.
+    engine: Option<VerdictEngine>,
+    early_exit: bool,
+    /// In-memory hot-tier budget: with an explicit budget but no spill to
+    /// honor it by eviction, a level that starts over it adds no nodes — a
+    /// clean, recorded truncation instead of unbounded growth.
+    mem_budget: Option<usize>,
+    // Per-level state.
+    cur_depth: u32,
+    level_len: usize,
+    nodes_before: usize,
+    t_level: Option<Instant>,
+    /// `Some(budget)` when this level started over the memory budget.
+    budget_cap: Option<usize>,
+    next: Vec<WorkItem>,
+    /// POR: edges into already-known nodes, applied only after the whole
+    /// level has merged (the target's own expansion may merge later in
+    /// the same level).
+    revisits: Vec<(usize, u64)>,
+    // Per-node state.
+    scratch: Vec<Edge>,
+    escalate: bool,
+}
+
+impl<'a> Bfs<'a> {
+    /// Bookkeeping holding the root, node 0.
+    fn new(opts: &'a ExploreOptions, rec: &'a Recorder) -> Self {
+        Bfs {
+            opts,
+            rec,
+            depth: vec![0],
+            first_sleep: vec![0],
+            explored: vec![0],
+            slept: vec![0],
+            pending: vec![0],
+            expanded: vec![false],
+            full: vec![false],
+            edge_buf: Vec::new(),
+            terminals: Vec::new(),
+            truncated: false,
+            engine: match &opts.goal {
+                ExploreGoal::FullGraph => None,
+                ExploreGoal::Verdict(query) => Some(VerdictEngine::new(query.clone())),
+            },
+            early_exit: false,
+            mem_budget: if opts.effective_store() == StoreBackend::Disk {
+                None
+            } else {
+                opts.effective_store_budget()
+            },
+            cur_depth: 0,
+            level_len: 0,
+            nodes_before: 0,
+            t_level: None,
+            budget_cap: None,
+            next: Vec::new(),
+            revisits: Vec::new(),
+            scratch: Vec::new(),
+            escalate: false,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.depth.len()
+    }
+
+    fn remaining(&self) -> usize {
+        self.opts.max_configs.saturating_sub(self.len())
+    }
+
+    /// Opens a level of `level_len` work items.
+    fn begin_level(&mut self, level_len: usize) -> LevelCtx {
+        // Level wall time feeds the per-level trace records; read the
+        // clock only when timing is on so the untimed path stays
+        // syscall-free.
+        self.t_level = self.rec.is_timing().then(Instant::now);
+        self.nodes_before = self.len();
+        self.level_len = level_len;
+        LevelCtx {
+            level: self.cur_depth,
+            nodes: self.nodes_before,
+            frontier: level_len,
+            remaining: self.remaining(),
+        }
+    }
+
+    /// Whether this level starts over the in-memory budget (then it may
+    /// add no node); `resident` is evaluated only under such a budget.
+    fn over_budget(&mut self, resident: impl FnOnce() -> usize) -> bool {
+        self.budget_cap = self.mem_budget.filter(|&b| resident() > b);
+        self.budget_cap.is_some()
+    }
+
+    /// Records node `i` as terminal.
+    fn terminal(&mut self, i: usize, facts: impl FnOnce() -> TerminalFacts) {
+        self.terminals.push(i);
+        self.expanded[i] = true;
+        if let Some(eng) = self.engine.as_mut() {
+            eng.on_terminal(facts());
+        }
+    }
+
+    /// Opens the merge of a non-terminal node's expansion.
+    fn begin_node(&mut self, slept: u64) {
+        self.escalate = false;
+        self.scratch.clear();
+        self.rec.count_sleep_pruned(u64::from(slept.count_ones()));
+    }
+
+    /// Merges one successor of node `i`, fired by `pid` and carrying sleep
+    /// mask `sleep`, placed at `slot`. Returns the new node's id if it was
+    /// added.
+    fn step(&mut self, i: usize, pid: Pid, slot: MergeSlot, sleep: u64) -> Option<usize> {
+        let rec = self.rec;
+        let (j, known) = match slot {
+            MergeSlot::Known(j) => {
+                rec.count_dedup_hits(1);
+                (j, true)
+            }
+            MergeSlot::Capped => {
+                rec.count_capped(1);
+                match self.budget_cap {
+                    Some(b) => rec.set_budget_truncated(b),
+                    None => rec.set_truncated(self.opts.max_configs),
+                }
+                self.truncated = true;
+                return None;
+            }
+            MergeSlot::Added => {
+                rec.count_added(1);
+                let j = self.len();
+                assert!(j < u32::MAX as usize, "state graph exceeds u32 node ids");
+                self.depth.push(self.cur_depth + 1);
+                self.first_sleep.push(sleep);
+                self.explored.push(0);
+                self.slept.push(0);
+                self.pending.push(0);
+                self.expanded.push(false);
+                self.full.push(false);
+                self.next.push(WorkItem::fresh(j));
+                (j, false)
+            }
+        };
+        if known && self.depth[j] <= self.depth[i] {
+            // Retreating edge — the only kind that can close a cycle
+            // (depth deltas are <= +1 per edge and sum to 0 around a
+            // cycle). Triggers the POR cycle proviso and registers a
+            // streaming cycle-check candidate.
+            if self.opts.por {
+                self.escalate = true;
+            }
+            if let Some(eng) = self.engine.as_mut() {
+                eng.on_retreating_edge();
+            }
+        }
+        if self.opts.por && known {
+            self.revisits.push((j, sleep));
+        }
+        self.scratch.push(Edge { pid, to: j as u32 });
+        (!known).then_some(j)
+    }
+
+    /// Closes the merge of node `i`'s expansion, which fired `fired` and
+    /// slept `slept`; `enabled` yields the node's enabled set (read only
+    /// when the cycle proviso escalates). Returns the node's edge count.
+    fn finish_node(
+        &mut self,
+        i: usize,
+        fired: u64,
+        slept: u64,
+        enabled: impl FnOnce() -> u64,
+    ) -> usize {
+        // Canonicalization can map distinct successors of one node onto
+        // the same representative; drop the parallel duplicates (the full
+        // graph never produces them). Per-expansion dedup is per-node
+        // dedup: a pid never fires twice for one node, so duplicates
+        // cannot span expansions.
+        if self.opts.symmetry {
+            self.scratch.sort_unstable_by_key(|e| (e.pid.index(), e.to));
+            self.scratch.dedup();
+        }
+        let edges = self.scratch.len();
+        self.edge_buf
+            .extend(self.scratch.drain(..).map(|e| (i as u32, e)));
+        self.expanded[i] = true;
+        self.explored[i] |= fired;
+        self.pending[i] &= !fired;
+        self.slept[i] = (self.slept[i] | slept) & !self.explored[i];
+        if self.opts.por && self.escalate && !self.full[i] {
+            // Cycle proviso: fully expand one node per cycle so no enabled
+            // process is ignored around it. Everything not yet fired or in
+            // flight is fired next level, sleep ignored.
+            self.full[i] = true;
+            let rest = enabled() & !self.explored[i] & !self.pending[i];
+            self.slept[i] = 0;
+            if rest != 0 {
+                self.pending[i] |= rest;
+                self.next.push(WorkItem {
+                    node: i,
+                    fire: rest,
+                    sleep: 0,
+                    fresh: false,
+                });
+            }
+        }
+        // Mid-merge heartbeat: the whole level's expansions are already in
+        // the counter, so a long merge after a huge expansion still
+        // reports within one interval of it.
+        self.rec
+            .heartbeat(self.cur_depth, self.len(), self.level_len, self.remaining());
+        edges
+    }
+
+    /// Sleep-set revisit rule: reaching a known node along a new path
+    /// whose sleep set no longer covers a previously suppressed pid
+    /// re-fires exactly that pid. Applied after the level's merges so
+    /// `expanded`/`slept` are final for the level.
+    fn wake_revisits(&mut self) {
+        for (j, new_sleep) in std::mem::take(&mut self.revisits) {
+            if !self.expanded[j] {
+                // First expansion still queued: shrink the sleep set it
+                // will start from instead.
+                self.first_sleep[j] &= new_sleep;
+                continue;
+            }
+            let wake = self.slept[j] & !new_sleep;
+            if wake != 0 {
+                self.slept[j] &= !wake;
+                self.pending[j] |= wake;
+                self.next.push(WorkItem {
+                    node: j,
+                    fire: wake,
+                    sleep: new_sleep,
+                    fresh: false,
+                });
+            }
+        }
+    }
+
+    /// Closes the level with the stores' `resident` bytes and returns the
+    /// next one (empty once the streaming verdict is refuted).
+    fn end_level(&mut self, resident: usize) -> Vec<WorkItem> {
+        self.rec.record_peak_bytes(resident);
+        // Level-granular verdict evaluation: at most one (untimed) cycle
+        // check per level, then exit if any queried conjunct is refuted.
+        if let Some(eng) = self.engine.as_mut() {
+            if eng.wants_cycle_check() {
+                eng.record_cycle_check(edge_buf_has_cycle(self.depth.len(), &self.edge_buf));
+            }
+            self.early_exit = eng.refutation().is_some();
+        }
+        self.rec.record_level(
+            self.level_len,
+            self.len() - self.nodes_before,
+            self.len(),
+            self.edge_buf.len(),
+            self.t_level.map_or(Duration::ZERO, |t| t.elapsed()),
+        );
+        self.rec.heartbeat(
+            self.cur_depth,
+            self.len(),
+            self.next.len(),
+            self.remaining(),
+        );
+        self.cur_depth += 1;
+        let next = std::mem::take(&mut self.next);
+        if self.early_exit {
+            Vec::new()
+        } else {
+            next
+        }
+    }
+
+    /// Finishes the exploration: the streaming verdict, or (full-graph
+    /// goal) the adjacency frozen into CSR form.
+    fn finish(mut self) -> GraphCore {
+        self.terminals.sort_unstable();
+        self.terminals.dedup();
+        let n = self.depth.len();
+        let (truncated, early_exit) = (self.truncated, self.early_exit);
+        let verdict = self.engine.take().map(|mut eng| {
+            if !truncated && !early_exit && eng.needs_final_cycle_check() {
+                // A cycle through an old retreating candidate may only have
+                // closed after that candidate's level was checked;
+                // completion therefore re-checks once over the final edge
+                // buffer.
+                eng.record_cycle_check(edge_buf_has_cycle(n, &self.edge_buf));
+            }
+            eng.finish(truncated.then_some(self.opts.max_configs), early_exit, n)
+        });
+        let edges = self.edge_buf.len();
+        let (row_ptr, edge_arr) = if verdict.is_some() {
+            // Verdict goal: nobody reads the CSR — skip the freeze entirely.
+            (Vec::new(), Vec::new())
+        } else {
+            freeze_csr(n, self.edge_buf, self.rec)
+        };
+        GraphCore {
+            len: n,
+            row_ptr,
+            edge_arr,
+            terminals: self.terminals,
+            truncated,
+            edges,
+            verdict,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Unsharded exploration
+// ---------------------------------------------------------------------------
+
+/// A successor resolved by a level-expansion worker.
+enum StepResult {
+    /// The successor already had a node index before this level's merge.
+    Existing(usize),
+    /// A successor unseen at expansion time; the merge re-checks it
+    /// against nodes added earlier in the level before adding it.
+    Fresh(PendingConfig),
+}
+
+/// One expanded successor of the unsharded explorer: stepping pid, dedup
+/// result, sleep mask.
+type Step = (Pid, StepResult, u64);
+
+impl RowStore {
+    /// Merge-side find-or-add of a worker-stepped successor, bounded by
+    /// `cap` nodes. The successor's fresh states are interned first; with
+    /// a spill, every cold hash-colliding candidate of them is restored
+    /// before — the merge is the authoritative dedup, so unlike a worker it
+    /// may not skip evicted state (the interner panics rather than break
+    /// the id ⇔ value bijection).
+    fn insert(&mut self, pending: PendingConfig, cap: usize, rec: &Recorder) -> MergeSlot {
+        if self.spill.is_some() {
+            let mut cold = Vec::new();
+            self.interner.cold_segments_for_pending(&pending, &mut cold);
+            self.restore_and_pin(&cold, rec);
+        }
+        let compact = self.interner.finalize(pending);
+        let words = compact.words();
+        let fp = fingerprint_words(words);
+        if let Some(j) = self.find(fp, words, rec) {
+            return MergeSlot::Known(j);
+        }
+        if self.len >= cap {
+            return MergeSlot::Capped;
+        }
+        self.push(words, fp);
+        MergeSlot::Added
+    }
+}
+
+/// Expands one unsharded work item, resolving each successor against the
+/// read-only store snapshot.
+fn expand_item(
+    store: &RowStore,
+    item: &WorkItem,
+    x: ExpandCtx<'_>,
+) -> Result<Expansion<Step>, SimError> {
+    let rec = x.main;
+    expand_node(store, item.node, item, x, rec, |pid, pending, sleep| {
+        let _t = rec.time_dedup();
+        // A successor carrying a genuinely fresh state cannot be in the
+        // snapshot, so it needs no lookup until the merge interns it.
+        let known = pending
+            .resolved_words()
+            .and_then(|words| store.find_resident(fingerprint_words(words), words, rec));
+        let step = match known {
+            Some(j) => StepResult::Existing(j),
+            None => StepResult::Fresh(pending),
+        };
+        (pid, step, sleep)
+    })
+}
+
 /// Expands one BFS level, splitting it across `opts.threads` workers.
 /// Results are returned in the same order as `level` regardless of the
 /// split.
-fn expand_level<S: ConfigStore>(
-    store: &S,
-    first_sleep: &[u64],
+fn expand_level(
+    store: &RowStore,
     level: &[WorkItem],
-    opts: &ExploreOptions,
-    ctx: LevelCtx,
-) -> Result<Vec<NodeExpansion<S::Carrier>>, SimError> {
-    let threads = opts.threads.clamp(1, level.len().max(1));
-    if threads <= 1 || level.len() < PARALLEL_THRESHOLD {
-        return expand_chunk(store, first_sleep, level, opts, ctx);
+    x: ExpandCtx<'_>,
+) -> Result<Vec<Expansion<Step>>, SimError> {
+    let expand_chunk = |items: &[WorkItem]| -> Result<Vec<_>, SimError> {
+        items
+            .iter()
+            .map(|item| expand_item(store, item, x))
+            .collect()
+    };
+    let threads = x.opts.threads.clamp(1, level.len().max(1));
+    if !spawn_workers(threads, level.len()) {
+        return expand_chunk(level);
     }
     let chunk_size = level.len().div_ceil(threads);
-    type ChunkResult<S> = Result<Vec<NodeExpansion<<S as ConfigStore>::Carrier>>, SimError>;
-    let results: Vec<ChunkResult<S>> = std::thread::scope(|s| {
+    let results: Vec<Result<Vec<_>, SimError>> = std::thread::scope(|s| {
         let handles: Vec<_> = level
             .chunks(chunk_size)
-            .map(|chunk| s.spawn(move || expand_chunk(store, first_sleep, chunk, opts, ctx)))
+            .map(|chunk| s.spawn(move || expand_chunk(chunk)))
             .collect();
         handles
             .into_iter()
@@ -1423,545 +1528,66 @@ fn expand_level<S: ConfigStore>(
     Ok(out)
 }
 
-/// One outgoing edge of the configuration graph.
-///
-/// Node indices are `u32`: the CSR representation caps a graph at
-/// `u32::MAX` nodes, far beyond what any exhaustive exploration holds in
-/// memory, and halves the edge array's footprint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Edge {
-    /// The process whose step produced this edge.
-    pub pid: Pid,
-    /// Index of the successor configuration.
-    pub to: u32,
-}
-
-impl Edge {
-    /// The successor node index widened for direct indexing.
-    pub fn target(&self) -> usize {
-        self.to as usize
-    }
-}
-
-/// Summary statistics of a [`StateGraph`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GraphStats {
-    /// Number of distinct reachable configurations.
-    pub configs: usize,
-    /// Total number of edges (steps).
-    pub edges: usize,
-    /// Number of final configurations.
-    pub terminals: usize,
-    /// Maximum branching factor of any configuration.
-    pub max_out_degree: usize,
-    /// Longest shortest-path distance from the initial configuration.
-    pub max_depth: usize,
-    /// Whether the exploration was truncated.
-    pub truncated: bool,
-}
-
-impl std::fmt::Display for GraphStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} configs, {} edges, {} terminals, out-degree ≤ {}, depth {}{}",
-            self.configs,
-            self.edges,
-            self.terminals,
-            self.max_out_degree,
-            self.max_depth,
-            if self.truncated { " (TRUNCATED)" } else { "" }
-        )
-    }
-}
-
-/// A borrowed view of one graph node with **id-native** accessors:
-/// process statuses, enabled sets and decision sets are read straight
-/// from the store's representation (interned `u32` id rows resolve one
-/// id through the interner; deep nodes borrow from the `Config`), so
-/// property predicates probing thousands of nodes never re-materialize a
-/// deep [`Config`] per probe. Use [`NodeView::config`] only when the
-/// whole configuration is genuinely needed.
-#[derive(Clone, Copy, Debug)]
-pub struct NodeView<'g> {
-    graph: &'g StateGraph,
-    index: usize,
-}
-
-impl<'g> NodeView<'g> {
-    /// This node's index in the graph.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Number of processes in the system.
-    pub fn nprocs(&self) -> usize {
-        match &self.graph.store {
-            NodeStore::Deep(configs) => configs[self.index].nprocs(),
-            NodeStore::Interned(nodes) => nodes.stride - nodes.nobjects,
-            NodeStore::Virtual { .. } => unreachable!("NodeView over a Virtual store"),
-        }
-    }
-
-    /// Status of process `pid`, borrowed from the store.
-    pub fn status(&self, pid: Pid) -> &'g ProcStatus {
-        match &self.graph.store {
-            NodeStore::Deep(configs) => &configs[self.index].proc_state(pid).status,
-            NodeStore::Interned(nodes) => {
-                let row = self.index * nodes.stride;
-                let id = nodes.words[row + nodes.nobjects + pid.index()];
-                &nodes.interner.proc(id).status
-            }
-            NodeStore::Virtual { .. } => unreachable!("NodeView over a Virtual store"),
-        }
-    }
-
-    /// Bitset of the enabled processes.
-    pub fn enabled_bits(&self) -> u64 {
-        match &self.graph.store {
-            NodeStore::Deep(configs) => configs[self.index].enabled_set().bits(),
-            _ => {
-                let mut bits = 0u64;
-                for p in 0..self.nprocs() {
-                    if self.status(Pid::new(p)).is_enabled() {
-                        bits |= 1 << p;
-                    }
-                }
-                bits
-            }
-        }
-    }
-
-    /// `true` iff no process is enabled (a terminal configuration).
-    pub fn is_final(&self) -> bool {
-        self.enabled_bits() == 0
-    }
-
-    /// Per-process decisions, `None` for undecided processes.
-    pub fn decisions(&self) -> Vec<Option<Value>> {
-        (0..self.nprocs())
-            .map(|p| self.status(Pid::new(p)).decision().cloned())
-            .collect()
-    }
-
-    /// The sorted, deduplicated set of values decided at this node.
-    pub fn decided_values(&self) -> Vec<Value> {
-        let mut vals: Vec<Value> = (0..self.nprocs())
-            .filter_map(|p| self.status(Pid::new(p)).decision().cloned())
-            .collect();
-        vals.sort();
-        vals.dedup();
-        vals
-    }
-
-    /// The full configuration, materialized on demand — per-probe cost
-    /// the id-native accessors above avoid; prefer them in predicates.
-    pub fn config(&self) -> Config {
-        self.graph.config(self.index)
-    }
-}
-
-/// The reachable configuration graph of a system, with every scheduler choice
-/// and every nondeterministic object outcome expanded (unless reduced — see
-/// [`StateGraph::is_por_reduced`]).
-///
-/// Node `0` is the initial configuration. Adjacency is stored in
-/// compressed-sparse-row form: `row_ptr[i]..row_ptr[i + 1]` indexes node
-/// `i`'s slice of one flat edge array.
-#[derive(Clone, Debug)]
-pub struct StateGraph {
-    store: NodeStore,
-    row_ptr: Vec<u32>,
-    edge_arr: Vec<Edge>,
-    terminals: Vec<usize>,
-    truncated: bool,
-    por: bool,
-    metrics: ExploreMetrics,
-    /// The streaming verdict of a [`ExploreGoal::Verdict`] exploration
-    /// (`None` under [`ExploreGoal::FullGraph`]). When present, the CSR
-    /// adjacency was never frozen — see [`StateGraph::is_verdict_only`].
-    verdict: Option<StreamingVerdict>,
-}
-
-/// The frozen node arena of a [`StateGraph`], in whichever representation
-/// the exploration used ([`ExploreOptions::interned`]).
-#[derive(Clone, Debug)]
-enum NodeStore {
-    /// One deep [`Config`] per node.
-    Deep(Vec<Config>),
-    /// Hash-consed nodes (boxed: the arena bundle dwarfs the `Vec` variant).
-    Interned(Box<InternedNodes>),
-    /// No node contents at all — a sharded verdict-goal exploration skips
-    /// the arena stitch/gather (its freeze phase) because verdict-only
-    /// callers never look at configurations again. Only the node count
-    /// survives.
-    Virtual {
-        /// Number of explored configurations.
-        len: usize,
-    },
-}
-
-/// Hash-consed node arena: `stride` id words per node in one flat row-major
-/// array, resolved through the interner. `len` is explicit because a
-/// zero-process zero-object system has `stride == 0`.
-#[derive(Clone, Debug)]
-struct InternedNodes {
-    interner: StateInterner,
-    nobjects: usize,
-    stride: usize,
-    words: Vec<u32>,
-    len: usize,
-}
-
-impl NodeStore {
-    fn len(&self) -> usize {
-        match self {
-            NodeStore::Deep(configs) => configs.len(),
-            NodeStore::Interned(nodes) => nodes.len,
-            NodeStore::Virtual { len } => *len,
-        }
-    }
-}
-
-/// The explorer's output before node storage is attached: CSR adjacency,
-/// terminals and the truncation flag. Under a verdict goal the CSR vectors
-/// are empty (the freeze is skipped) and `edges` keeps the true recorded
-/// edge count for the metrics; otherwise `edges == edge_arr.len()`.
-struct GraphCore {
-    row_ptr: Vec<u32>,
-    edge_arr: Vec<Edge>,
-    terminals: Vec<usize>,
-    truncated: bool,
-    edges: usize,
-    verdict: Option<StreamingVerdict>,
-}
-
-/// One-line stderr warning when an exploration hits its `max_configs`
-/// bound: callers routinely ignore the `truncated` flag, and a silently
-/// partial graph invalidates every analysis run on it. Emitted once per
-/// process (a benchmark timing loop may truncate thousands of times); the
-/// cause is always recorded per graph in [`ExploreMetrics`].
-fn warn_truncated(cap: usize, configs: usize) {
-    warn_once(
-        "truncated",
-        &format!(
-            "modelcheck: WARNING: exploration truncated at max_configs = {cap} \
-             ({configs} configs kept); analyses on this graph are partial \
-             (further truncation warnings suppressed for this process)"
-        ),
-    );
-}
-
-/// One-line stderr hint when an in-memory exploration truncates on its
-/// hot-tier byte budget: the disk store lifts exactly this bound.
-fn warn_budget_truncated(budget: usize, configs: usize) {
-    warn_once(
-        "budget_truncated",
-        &format!(
-            "modelcheck: WARNING: exploration truncated at store_budget_bytes = \
-             {budget} ({configs} configs kept); analyses on this graph are \
-             partial. Set MC_STORE=disk (or \
-             ExploreOptions::with_store(StoreBackend::Disk)) to spill cold \
-             state to disk instead of truncating (further budget-truncation \
-             warnings suppressed for this process)"
-        ),
-    );
-}
-
-/// One-line stderr note when the disk store is requested for a
-/// deep-representation exploration, which cannot spill (there is no
-/// interner arena to evict); the run proceeds fully in memory.
-fn warn_disk_needs_interned() {
-    warn_once(
-        "disk_needs_interned",
-        "modelcheck: NOTE: the disk store spills interner arenas, so it \
-         requires the hash-consed representation \
-         (ExploreOptions::interned); this deep-representation exploration \
-         falls back to the in-memory store",
-    );
-}
-
-/// Runs the level-synchronized BFS against `store` (already seeded with
-/// node 0) and freezes the resulting adjacency into CSR form. All
-/// reduction logic (symmetry, POR, the cycle proviso) lives here, once,
-/// for both node representations.
-fn explore_core<S: ConfigStore>(
-    store: &mut S,
+/// Runs the unsharded level-synchronized BFS from `init`: each level is
+/// expanded read-only (optionally across threads), then merged
+/// sequentially in frontier order. Returns the graph core and the store.
+fn explore_core(
+    spec: &SystemSpec,
+    init: &Config,
     opts: &ExploreOptions,
     rec: &Recorder,
-) -> Result<GraphCore, SimError> {
-    // Flat (from, edge) buffer, frozen into CSR at the end.
-    let mut edge_buf: Vec<(u32, Edge)> = Vec::new();
-    let mut terminals = Vec::new();
-    let mut truncated = false;
-    // Streaming-verdict accumulator (verdict goal only). Fed inside the
-    // merge loop; consulted once per level, after the revisits, so the
-    // exit point — and with it the explored-config count — is identical
-    // for every thread count, shard count and store representation.
-    let mut engine = match &opts.goal {
-        ExploreGoal::FullGraph => None,
-        ExploreGoal::Verdict(query) => Some(VerdictEngine::new(query.clone())),
-    };
-    let mut early_exit = false;
-
-    // Per-node exploration bookkeeping. `depth` (first-discovery BFS
-    // level) doubles as the cycle proviso's back-edge detector; the
-    // rest is sleep-set state, all-zero without POR.
-    let mut depth: Vec<u32> = vec![0];
-    let mut first_sleep: Vec<u64> = vec![0];
-    let mut explored: Vec<u64> = vec![0]; // pids fired or enqueued-and-merged
-    let mut slept: Vec<u64> = vec![0]; // pids suppressed by sleep sets
-    let mut pending: Vec<u64> = vec![0]; // pids enqueued, not yet merged
-    let mut expanded: Vec<bool> = vec![false];
-    let mut full: Vec<bool> = vec![false]; // escalated by the proviso
-
-    let mut level = vec![WorkItem {
-        node: 0,
-        fire: 0,
-        sleep: 0,
-        fresh: true,
-    }];
-    let mut cur_depth: u32 = 0;
-    let mut scratch: Vec<Edge> = Vec::new();
-    // Memory-budget truncation: with an explicit hot-tier budget but no
-    // spill to honor it by eviction, the level loop stops *adding* nodes
-    // once the resident estimate crosses the budget — a clean, recorded
-    // truncation instead of unbounded growth.
-    let mem_budget = if store.spilling() {
-        None
-    } else {
-        opts.effective_store_budget()
-    };
+) -> Result<(GraphCore, RowStore), SimError> {
+    let mut store = RowStore::new(init, spill_budget(opts, 1));
+    if store.spill.is_some() {
+        rec.mark_store_active();
+    }
+    store.seed(init, fingerprint_words);
+    let mut bfs = Bfs::new(opts, rec);
+    let mut level = vec![WorkItem::fresh(0)];
     let mut frontier_ids: Vec<usize> = Vec::new();
     while !level.is_empty() {
-        // Level wall time feeds the per-level trace records; read the
-        // clock only when timing is on so the untimed path stays
-        // syscall-free.
-        let t_level = rec.is_timing().then(Instant::now);
-        let nodes_before = depth.len();
+        let lvl = bfs.begin_level(level.len());
         frontier_ids.clear();
         frontier_ids.extend(level.iter().map(|it| it.node));
-        store.begin_level(&frontier_ids);
-        let over_budget = mem_budget.is_some_and(|b| store.resident_estimate() > b);
-        let level_cap = if over_budget { 0 } else { opts.max_configs };
-        let ctx = LevelCtx {
-            level: cur_depth,
-            nodes: nodes_before,
-            frontier: level.len(),
-            remaining: opts.max_configs.saturating_sub(nodes_before),
+        store.begin_level(&frontier_ids, rec);
+        let level_cap = if bfs.over_budget(|| store.resident_estimate()) {
+            0
+        } else {
+            opts.max_configs
         };
-        let expansions = expand_level(&*store, &first_sleep, &level, opts, ctx)?;
+        let x = ExpandCtx {
+            spec,
+            first_sleep: &bfs.first_sleep,
+            opts,
+            main: rec,
+            lvl,
+        };
+        let expansions = expand_level(&store, &level, x)?;
         let merge_t = rec.time_merge();
-        let mut next_level: Vec<WorkItem> = Vec::new();
-        // POR: edges into already-known nodes; processed only after the
-        // whole level has merged, because the target's own expansion may
-        // merge later in this same level.
-        let mut revisits: Vec<(usize, u64)> = Vec::new();
         for (item, exp) in level.iter().zip(expansions) {
             let i = item.node;
             if exp.terminal {
-                terminals.push(i);
-                expanded[i] = true;
-                if let Some(eng) = engine.as_mut() {
-                    eng.on_terminal(store.terminal_facts(i));
-                }
+                bfs.terminal(i, || store.terminal_facts(i));
                 continue;
             }
-            let mut escalate = false;
-            scratch.clear();
-            rec.count_sleep_pruned(u64::from(exp.slept.count_ones()));
-            for (pid, step, succ_sleep) in exp.steps {
-                let (j, known) = match step {
-                    StepResult::Existing(j) => {
-                        rec.count_dedup_hits(1);
-                        (j, true)
-                    }
-                    // A worker's miss can be an earlier merge of this same
-                    // level; `insert` re-checks before adding.
+            bfs.begin_node(exp.slept);
+            for (pid, step, sleep) in exp.steps {
+                let slot = match step {
+                    StepResult::Existing(j) => MergeSlot::Known(j),
                     StepResult::Fresh(next) => {
-                        let slot = {
-                            let _t = rec.time_intern();
-                            store.insert(next, level_cap)
-                        };
-                        match slot {
-                            MergeSlot::Known(j) => {
-                                rec.count_dedup_hits(1);
-                                (j, true)
-                            }
-                            MergeSlot::Capped => {
-                                rec.count_capped(1);
-                                match mem_budget {
-                                    Some(b) if over_budget => rec.set_budget_truncated(b),
-                                    _ => rec.set_truncated(opts.max_configs),
-                                }
-                                truncated = true;
-                                continue;
-                            }
-                            MergeSlot::Added(j) => {
-                                rec.count_added(1);
-                                assert!(j < u32::MAX as usize, "state graph exceeds u32 node ids");
-                                depth.push(cur_depth + 1);
-                                first_sleep.push(succ_sleep);
-                                explored.push(0);
-                                slept.push(0);
-                                pending.push(0);
-                                expanded.push(false);
-                                full.push(false);
-                                next_level.push(WorkItem {
-                                    node: j,
-                                    fire: 0,
-                                    sleep: 0,
-                                    fresh: true,
-                                });
-                                (j, false)
-                            }
-                        }
+                        let _t = rec.time_intern();
+                        store.insert(next, level_cap, rec)
                     }
                 };
-                if known && depth[j] <= depth[i] {
-                    // Retreating edge — the only kind that can close a
-                    // cycle (depth deltas are <= +1 per edge and sum to 0
-                    // around a cycle). Triggers the POR cycle proviso and
-                    // registers a streaming cycle-check candidate.
-                    if opts.por {
-                        escalate = true;
-                    }
-                    if let Some(eng) = engine.as_mut() {
-                        eng.on_retreating_edge();
-                    }
-                }
-                if opts.por && known {
-                    revisits.push((j, succ_sleep));
-                }
-                scratch.push(Edge { pid, to: j as u32 });
+                bfs.step(i, pid, slot, sleep);
             }
-            // Canonicalization can map distinct successors of one node
-            // onto the same representative; drop the parallel
-            // duplicates (the full graph never produces them). One
-            // sort+dedup per expansion replaces the old O(deg²)
-            // `contains` scan, and per-expansion dedup is per-node
-            // dedup: a pid never fires twice for one node, so
-            // duplicates cannot span expansions.
-            if opts.symmetry {
-                scratch.sort_unstable_by_key(|e| (e.pid.index(), e.to));
-                scratch.dedup();
-            }
-            edge_buf.extend(scratch.drain(..).map(|e| (i as u32, e)));
-            expanded[i] = true;
-            explored[i] |= exp.fired;
-            pending[i] &= !exp.fired;
-            slept[i] = (slept[i] | exp.slept) & !explored[i];
-            if opts.por && escalate && !full[i] {
-                // Cycle proviso: fully expand one node per cycle so no
-                // enabled process is ignored around it. Everything not
-                // yet fired or in flight is fired next level, sleep
-                // ignored.
-                full[i] = true;
-                let enabled = store.enabled_bits(i);
-                let rest = enabled & !explored[i] & !pending[i];
-                slept[i] = 0;
-                if rest != 0 {
-                    pending[i] |= rest;
-                    next_level.push(WorkItem {
-                        node: i,
-                        fire: rest,
-                        sleep: 0,
-                        fresh: false,
-                    });
-                }
-            }
-            // Mid-merge heartbeat: the whole level's expansions are
-            // already in the counter, so a long merge after a huge
-            // expansion still reports within one interval of it.
-            rec.heartbeat(
-                cur_depth,
-                depth.len(),
-                level.len(),
-                opts.max_configs.saturating_sub(depth.len()),
-            );
+            bfs.finish_node(i, exp.fired, exp.slept, || store.enabled_bits(i));
         }
-        // Sleep-set revisit rule: reaching a known node along a new
-        // path whose sleep set no longer covers a previously-suppressed
-        // pid re-fires exactly that pid. Processed after the level's
-        // merges so `expanded`/`slept` are final for the level.
-        for (j, new_sleep) in revisits {
-            if !expanded[j] {
-                // First expansion still queued: shrink the sleep set it
-                // will start from instead.
-                first_sleep[j] &= new_sleep;
-                continue;
-            }
-            let wake = slept[j] & !new_sleep;
-            if wake != 0 {
-                slept[j] &= !wake;
-                pending[j] |= wake;
-                next_level.push(WorkItem {
-                    node: j,
-                    fire: wake,
-                    sleep: new_sleep,
-                    fresh: false,
-                });
-            }
-        }
+        bfs.wake_revisits();
         drop(merge_t);
-        rec.record_peak_bytes(store.resident_estimate());
-        // Level-granular verdict evaluation: at most one (untimed) cycle
-        // check per level, then exit if any queried conjunct is refuted.
-        if let Some(eng) = engine.as_mut() {
-            if eng.wants_cycle_check() {
-                eng.record_cycle_check(edge_buf_has_cycle(depth.len(), &edge_buf));
-            }
-            early_exit = eng.refutation().is_some();
-        }
-        rec.record_level(
-            level.len(),
-            depth.len() - nodes_before,
-            depth.len(),
-            edge_buf.len(),
-            t_level.map_or(Duration::ZERO, |t| t.elapsed()),
-        );
-        rec.heartbeat(
-            cur_depth,
-            depth.len(),
-            next_level.len(),
-            opts.max_configs.saturating_sub(depth.len()),
-        );
-        if early_exit {
-            break;
-        }
-        level = next_level;
-        cur_depth += 1;
+        level = bfs.end_level(store.resident_estimate());
     }
-    terminals.sort_unstable();
-    terminals.dedup();
-    let verdict = engine.map(|mut eng| {
-        if !truncated && !early_exit && eng.needs_final_cycle_check() {
-            // A cycle through an old retreating candidate may only have
-            // closed after that candidate's level was checked; completion
-            // therefore re-checks once over the final edge buffer.
-            eng.record_cycle_check(edge_buf_has_cycle(depth.len(), &edge_buf));
-        }
-        eng.finish(
-            truncated.then_some(opts.max_configs),
-            early_exit,
-            depth.len(),
-        )
-    });
-    let edges = edge_buf.len();
-    let (row_ptr, edge_arr) = if verdict.is_some() {
-        // Verdict goal: nobody reads the CSR — skip the freeze entirely.
-        (Vec::new(), Vec::new())
-    } else {
-        freeze_csr(depth.len(), edge_buf, rec)
-    };
-    Ok(GraphCore {
-        row_ptr,
-        edge_arr,
-        terminals,
-        truncated,
-        edges,
-        verdict,
-    })
+    Ok((bfs.finish(), store))
 }
 
 /// Cycle check over the in-flight edge buffer: builds a throwaway CSR and
@@ -2070,9 +1696,9 @@ fn freeze_csr(n: usize, edge_buf: Vec<(u32, Edge)>, rec: &Recorder) -> (Vec<u32>
 //    inserted them — and the over-budget suffix of each shard's arena is
 //    popped back out.
 // 4. **Feedback** (sequential): the per-tag responses are replayed in tag
-//    order against the global bookkeeping — edges, sleep sets, cycle
-//    proviso escalations, revisit wake-ups — reproducing the single-store
-//    merge loop decision-for-decision.
+//    order into the shared [`Bfs`] bookkeeping — edges, sleep sets, cycle
+//    proviso escalations, revisit wake-ups — exactly as the single-store
+//    merge loop feeds it.
 // 5. The next frontier is sequenced in the same order the single-store
 //    explorer would have enqueued it, and each item stays with its owning
 //    shard.
@@ -2095,7 +1721,7 @@ fn tag(seq: u32, step: u32) -> Tag {
 }
 
 /// One routed successor: production tag, content fingerprint, carrier.
-type Routed<W> = (Tag, u64, W);
+type Routed = (Tag, u64, WireConfig);
 
 /// Routed successors are staged in small per-worker buffers and flushed
 /// into the owner's shared sink in chunks of at most this many entries,
@@ -2109,7 +1735,7 @@ const OUTBOX_CHUNK: usize = 1024;
 /// acquisition per [`OUTBOX_CHUNK`] successors), and the merge phase
 /// sorts each inbox by production tag — so arrival order, and with it
 /// lock contention, cannot affect the produced graph.
-type OutboxSinks<W> = Vec<Mutex<Vec<Routed<W>>>>;
+type OutboxSinks = Vec<Mutex<Vec<Routed>>>;
 
 /// Queue-pressure counters of one shard's expansion pass.
 #[derive(Clone, Copy, Default)]
@@ -2119,6 +1745,11 @@ struct OutboxStats {
     /// Chunk flushes into the shared sinks.
     flushes: u64,
 }
+
+/// The expansion of one shard item, minus the successors themselves
+/// (those were routed to their owners): `(stepping pid, successor sleep
+/// mask)` per routed successor, in tag order.
+type ShardExpansion = Expansion<(Pid, u64)>;
 
 /// What one shard's expansion pass returns: `(seq, expansion)` per item
 /// plus queue-pressure stats (the successors themselves were already
@@ -2130,442 +1761,52 @@ type ExpandOut = Result<(Vec<(u32, ShardExpansion)>, OutboxStats), SimError>;
 /// index order).
 type MergeOut = (Vec<(Tag, u32, bool)>, Vec<Tag>);
 
-/// One successor leaving a shard: `(wire form, content fingerprint,
-/// canonicalization permutation)`.
-type WireSucc<W> = (W, u64, Option<Vec<usize>>);
-
-/// The storage backend of one shard: a dedup table plus node arena that
-/// owns every configuration whose content fingerprint maps to it.
-///
-/// Mirrors [`ConfigStore`] with two differences: node indices are
-/// *shard-local* (the orchestrator maps them to global ids), and
-/// successors are returned in an interner-independent wire form so they
-/// can cross into another shard's arena.
-trait ShardStore: Send + Sync {
-    /// Carrier a successor travels in between producing and owning shard.
-    type Wire: Send;
-
-    fn spec(&self) -> &SystemSpec;
-
-    /// Enabled-process bitset of local node `local`.
-    fn enabled_bits(&self, local: usize) -> u64;
-
-    /// Footprint of `pid`'s next step at local node `local`.
-    fn footprint(&self, local: usize, pid: Pid) -> Result<StepFootprint, SimError>;
-
-    /// Whether two steps with these footprints commute at local node
-    /// `local`.
-    fn independent(&self, local: usize, a: &StepFootprint, b: &StepFootprint) -> bool;
-
-    /// All successors of stepping `pid` at local node `local`:
-    /// `(wire, content fingerprint, canonicalization permutation)`.
-    /// The fingerprint is computed *after* canonicalization, so a whole
-    /// symmetry orbit maps to one owning shard.
-    fn successors(
-        &self,
-        local: usize,
-        pid: Pid,
-        symmetry: bool,
-        timers: &Recorder,
-    ) -> Result<Vec<WireSucc<Self::Wire>>, SimError>;
-
-    /// Owner-side find-or-insert, *unbounded*: the global configuration
-    /// budget is settled afterwards by the assign phase, which pops the
-    /// over-budget suffix back out with [`pop_last`](Self::pop_last).
-    fn insert(&mut self, wire: Self::Wire, fp: u64, timers: &Recorder) -> (usize, bool);
-
-    /// Undoes the most recent `n` inserts (the over-budget suffix).
-    fn pop_last(&mut self, n: usize);
-
-    /// Streaming-verdict facts of terminal local node `local` — the
-    /// sharded twin of [`ConfigStore::terminal_facts`].
-    fn terminal_facts(&self, local: usize) -> TerminalFacts;
-
-    /// Sequential level-boundary hook (the sharded twin of
-    /// [`ConfigStore::begin_level`]): called with this shard's slice of
-    /// the frontier, in *local* node ids, before the level's parallel
-    /// expansion. Spill counters land on `rec` (the main recorder).
-    fn begin_level(&mut self, _frontier: &[usize], _rec: &Recorder) {}
-
-    /// Estimated resident bytes of this shard's hot tier.
-    fn resident_estimate(&self) -> usize {
-        0
-    }
-
-    /// Whether this shard spills cold state to disk.
-    fn spilling(&self) -> bool {
-        false
-    }
+/// A frontier entry as handed to its owning shard: `seq` is the item's
+/// position in the globally ordered frontier (the high half of every
+/// production tag it emits), `local` its node's index in the shard.
+#[derive(Clone, Copy)]
+struct ShardItem {
+    seq: u32,
+    local: u32,
+    item: WorkItem,
 }
 
-/// Deep-configuration shard: one [`Config`] per local node, dedup
-/// verified by deep equality. The wire form is the `Config` itself.
-struct DeepShard<'a> {
-    spec: &'a SystemSpec,
-    configs: Vec<Config>,
-    /// Content fingerprint per local node (for index removal on pop).
-    fps: Vec<u64>,
-    index: HashMap<u64, Vec<usize>>,
-}
-
-impl<'a> DeepShard<'a> {
-    fn new(spec: &'a SystemSpec) -> Self {
-        DeepShard {
-            spec,
-            configs: Vec::new(),
-            fps: Vec::new(),
-            index: HashMap::new(),
-        }
-    }
-
-    /// Installs the initial configuration as local node 0 (owner only).
-    fn seed(&mut self, init: Config, fp: u64) {
-        debug_assert!(self.configs.is_empty());
-        self.configs.push(init);
-        self.fps.push(fp);
-        self.index.entry(fp).or_default().push(0);
-    }
-}
-
-impl ShardStore for DeepShard<'_> {
-    type Wire = Config;
-
-    fn spec(&self) -> &SystemSpec {
-        self.spec
-    }
-
-    fn enabled_bits(&self, local: usize) -> u64 {
-        self.configs[local].enabled_set().bits()
-    }
-
-    fn footprint(&self, local: usize, pid: Pid) -> Result<StepFootprint, SimError> {
-        self.spec.step_footprint(&self.configs[local], pid)
-    }
-
-    fn independent(&self, local: usize, a: &StepFootprint, b: &StepFootprint) -> bool {
-        self.spec.footprints_independent(&self.configs[local], a, b)
-    }
-
-    fn successors(
-        &self,
-        local: usize,
-        pid: Pid,
-        symmetry: bool,
-        timers: &Recorder,
-    ) -> Result<Vec<WireSucc<Self::Wire>>, SimError> {
-        let mut out = Vec::new();
-        let succs = {
-            let _t = timers.time_expand();
-            self.spec.successors(&self.configs[local], pid)?
-        };
-        for (next, _info) in succs {
-            let (next, perm) = if symmetry {
-                let _t = timers.time_canonicalize();
-                self.spec.canonicalize_config_perm(next)
-            } else {
-                (next, None)
-            };
-            let fp = {
-                let _t = timers.time_dedup();
-                fingerprint(&next)
-            };
-            out.push((next, fp, perm));
-        }
-        Ok(out)
-    }
-
-    fn insert(&mut self, wire: Config, fp: u64, timers: &Recorder) -> (usize, bool) {
+impl RowStore {
+    /// Owner-side find-or-add of a successor routed here in wire form,
+    /// *unbounded*: the global configuration budget is settled afterwards
+    /// by the assign phase, which pops the over-budget suffix back out.
+    /// Adoption is the authoritative dedup, so with a spill every cold
+    /// hash-colliding candidate of the wire's states is restored first.
+    fn adopt(&mut self, wire: WireConfig, fp: u64, timers: &Recorder) -> (usize, bool) {
         let _t = timers.time_intern();
-        let known = self
-            .index
-            .get(&fp)
-            .and_then(|ids| ids.iter().copied().find(|&j| self.configs[j] == wire));
-        if let Some(j) = known {
-            return (j, false);
-        }
-        let j = self.configs.len();
-        self.configs.push(wire);
-        self.fps.push(fp);
-        self.index.entry(fp).or_default().push(j);
-        (j, true)
-    }
-
-    fn pop_last(&mut self, n: usize) {
-        for _ in 0..n {
-            let l = self.configs.len() - 1;
-            let fp = self.fps.pop().expect("pop beyond arena");
-            let bucket = self.index.get_mut(&fp).expect("indexed fingerprint");
-            // Locals enter a bucket in increasing order, so the popped
-            // node is its bucket's last entry.
-            let popped = bucket.pop();
-            debug_assert_eq!(popped, Some(l));
-            if bucket.is_empty() {
-                self.index.remove(&fp);
-            }
-            self.configs.pop();
-        }
-    }
-
-    fn terminal_facts(&self, local: usize) -> TerminalFacts {
-        let c = &self.configs[local];
-        facts_from_statuses((0..c.nprocs()).map(|p| &c.proc_state(Pid::new(p)).status))
-    }
-
-    fn resident_estimate(&self) -> usize {
-        let per_config = std::mem::size_of::<Config>()
-            + self.configs.first().map_or(0, |c| {
-                (c.nobjects() + c.nprocs()) * std::mem::size_of::<usize>()
-            });
-        self.configs.len() * per_config
-            + self.fps.len() * std::mem::size_of::<u64>()
-            + index_bytes(self.index.len(), self.configs.len())
-    }
-}
-
-/// Hash-consed shard: its own [`StateInterner`] arena plus flat id-word
-/// rows, deduplicated by *content* fingerprint (verified by a word
-/// compare after adoption — sound because within one interner id
-/// equality is state equality). Successors cross shards as
-/// [`WireConfig`]s.
-struct CompactShard<'a> {
-    spec: &'a SystemSpec,
-    interner: StateInterner,
-    nobjects: usize,
-    stride: usize,
-    /// Hot id-word rows: locals `[hot_base, len)` when spilling (the
-    /// on-disk prefix is faulted through the spill), all locals otherwise.
-    words: Vec<u32>,
-    len: usize,
-    /// Content fingerprint per local node (dedup key + pop removal).
-    fps: Vec<u64>,
-    index: HashMap<u64, Vec<usize>>,
-    /// Locals currently filed in `index` (drains reset it).
-    index_ids: usize,
-    /// Disk spill state ([`StoreBackend::Disk`] only).
-    spill: Option<Spill>,
-}
-
-impl<'a> CompactShard<'a> {
-    fn new(spec: &'a SystemSpec, nobjects: usize, stride: usize) -> Self {
-        CompactShard {
-            spec,
-            interner: StateInterner::new(),
-            nobjects,
-            stride,
-            words: Vec::new(),
-            len: 0,
-            fps: Vec::new(),
-            index: HashMap::new(),
-            index_ids: 0,
-            spill: None,
-        }
-    }
-
-    /// Turns this shard disk-backed with the given hot-tier budget.
-    fn enable_spill(&mut self, budget: usize) {
-        debug_assert!(self.spill.is_none());
-        self.spill = Some(Spill::new(self.stride, budget));
-    }
-
-    /// Installs the initial configuration as local node 0 (owner only).
-    fn seed(&mut self, init: &Config, fp: u64) {
-        debug_assert_eq!(self.len, 0);
-        let compact = self.interner.intern_config(init);
-        self.words.extend_from_slice(compact.words());
-        self.fps.push(fp);
-        self.index.entry(fp).or_default().push(0);
-        self.index_ids = 1;
-        self.len = 1;
-    }
-
-    fn row(&self, i: usize) -> &[u32] {
-        self.row_resident(i)
-            .expect("spilled row accessed outside the pinned frontier")
-    }
-
-    /// Local `i`'s row if resident — the sharded twin of
-    /// [`CompactStore::row_resident`].
-    fn row_resident(&self, i: usize) -> Option<&[u32]> {
-        let hot_base = self.spill.as_ref().map_or(0, Spill::hot_base);
-        if i >= hot_base {
-            let k = i - hot_base;
-            Some(&self.words[k * self.stride..(k + 1) * self.stride])
-        } else {
-            self.spill.as_ref().and_then(|s| s.reloaded_row(i))
-        }
-    }
-
-    /// Makes this shard's frontier rows and their referenced arena
-    /// segments resident, pinned for the whole level.
-    fn pin_frontier(&mut self, frontier: &[usize], rec: &Recorder) {
-        let hot_base = self.spill.as_ref().map_or(0, Spill::hot_base);
-        for &i in frontier {
-            if i < hot_base {
-                self.spill
-                    .as_mut()
-                    .expect("hot_base > 0 implies a spill")
-                    .fault_row(i, rec);
-            }
-        }
-        let mut segs: Vec<(bool, usize)> = Vec::new();
-        for &i in frontier {
-            let row = self.row(i);
-            for (slot, &id) in row.iter().enumerate() {
-                segs.push((slot >= self.nobjects, id as usize / ARENA_SEGMENT));
-            }
-        }
-        segs.sort_unstable();
-        segs.dedup();
-        for (procs, seg) in segs {
-            restore_and_pin(&mut self.interner, &mut self.spill, rec, procs, seg);
-        }
-    }
-
-    /// The sharded twin of [`CompactStore::evict_to_budget`].
-    fn evict_to_budget(&mut self, rec: &Recorder) {
-        let Some(spill) = self.spill.as_ref() else {
-            return;
-        };
-        let budget = spill.budget;
-        let level = spill.level;
-        if self.resident_estimate() <= budget {
-            return;
-        }
-        let cands = evictable_segments(&self.interner, self.spill.as_ref().unwrap(), level);
-        for (_, procs, seg) in cands {
-            if self.resident_estimate() <= budget {
-                break;
-            }
-            evict_segment(
-                &mut self.interner,
-                self.spill.as_mut().unwrap(),
-                rec,
-                procs,
-                seg,
-            );
-        }
-        if self.resident_estimate() > budget {
-            let mut index = std::mem::take(&mut self.index);
-            self.spill.as_mut().unwrap().drain_index(&mut index, rec);
-            self.index = index;
-            self.index_ids = 0;
-        }
-    }
-
-    /// Freeze-time reconstitution — see the free [`unspill`]. Sharded
-    /// explorations unspill each shard before the arena stitch.
-    fn unspill(&mut self, rec: &Recorder) {
-        unspill(&mut self.interner, &mut self.spill, &mut self.words, rec);
-    }
-}
-
-impl ShardStore for CompactShard<'_> {
-    type Wire = WireConfig;
-
-    fn spec(&self) -> &SystemSpec {
-        self.spec
-    }
-
-    fn enabled_bits(&self, local: usize) -> u64 {
-        self.interner.enabled_bits(self.nobjects, self.row(local))
-    }
-
-    fn footprint(&self, local: usize, pid: Pid) -> Result<StepFootprint, SimError> {
-        self.spec
-            .compact_footprint(&self.interner, self.row(local), pid)
-    }
-
-    fn independent(&self, local: usize, a: &StepFootprint, b: &StepFootprint) -> bool {
-        match (a, b) {
-            (StepFootprint::Local, _) | (_, StepFootprint::Local) => true,
-            (
-                StepFootprint::Object { obj: oa, op: pa },
-                StepFootprint::Object { obj: ob, op: pb },
-            ) => {
-                oa != ob
-                    || self.spec.ops_commute(
-                        *oa,
-                        self.interner.object(self.row(local)[oa.index()]),
-                        pa,
-                        pb,
-                    )
-            }
-        }
-    }
-
-    fn successors(
-        &self,
-        local: usize,
-        pid: Pid,
-        symmetry: bool,
-        timers: &Recorder,
-    ) -> Result<Vec<WireSucc<Self::Wire>>, SimError> {
-        let row = self.row(local);
-        let mut out = Vec::new();
-        let succs = {
-            let _t = timers.time_expand();
-            self.spec.compact_successors(&self.interner, row, pid)?
-        };
-        for mut pending in succs {
-            let perm = if symmetry {
-                let _t = timers.time_canonicalize();
-                self.spec.compact_canonicalize(&self.interner, &mut pending)
-            } else {
-                None
-            };
-            let fp = {
-                let _t = timers.time_dedup();
-                pending.content_fingerprint(&self.interner)
-            };
-            out.push((pending.export(&self.interner), fp, perm));
-        }
-        Ok(out)
-    }
-
-    fn insert(&mut self, wire: WireConfig, fp: u64, timers: &Recorder) -> (usize, bool) {
-        let _t = timers.time_intern();
-        // Owner-side adoption is the authoritative dedup: restore every
-        // cold hash-colliding candidate of the wire's states first (the
-        // interner panics rather than skip one — see `CompactStore::insert`).
         if self.spill.is_some() {
-            let mut cold: Vec<(bool, usize)> = Vec::new();
+            let mut cold = Vec::new();
             self.interner.cold_segments_for_wire(&wire, &mut cold);
-            for (procs, seg) in cold {
-                restore_and_pin(&mut self.interner, &mut self.spill, timers, procs, seg);
-            }
+            self.restore_and_pin(&cold, timers);
         }
         let compact = self.interner.adopt(wire);
-        let words = compact.words();
-        let mem = self.index.get(&fp).map_or(&[][..], Vec::as_slice);
-        if let Some(j) = merge_dedup(
-            &self.words,
-            self.stride,
-            &mut self.spill,
-            mem,
-            fp,
-            words,
-            timers,
-        ) {
+        if let Some(j) = self.find(fp, compact.words(), timers) {
             return (j, false);
         }
-        let j = self.len;
-        self.words.extend_from_slice(words);
-        self.fps.push(fp);
-        self.index.entry(fp).or_default().push(j);
-        self.index_ids += 1;
-        self.len += 1;
-        (j, true)
+        self.push(compact.words(), fp);
+        (self.len - 1, true)
     }
 
+    /// Undoes the most recent `n` adoptions (the over-budget suffix).
+    /// Popped nodes are always this level's, which postdate the last
+    /// `begin_level`: their rows are hot and their index entries are still
+    /// in the in-memory map, the last of their bucket. Adopted states stay
+    /// in the interner arena: popping them would invalidate ids already
+    /// handed out, and an over-budget configuration's states are usually
+    /// shared with kept ones.
     fn pop_last(&mut self, n: usize) {
-        // Popped locals are always this level's inserts, which postdate
-        // the last `begin_level`: their rows are hot and their index
-        // entries are still in the in-memory map (never drained).
         let hot_base = self.spill.as_ref().map_or(0, Spill::hot_base);
         for _ in 0..n {
             let l = self.len - 1;
-            debug_assert!(l >= hot_base, "popping a spilled local");
-            let fp = self.fps.pop().expect("pop beyond arena");
+            debug_assert!(l >= hot_base, "popping a spilled node");
+            let fp = self
+                .interner
+                .content_fingerprint_words(self.nobjects, self.row(l));
             let bucket = self.index.get_mut(&fp).expect("indexed fingerprint");
             let popped = bucket.pop();
             debug_assert_eq!(popped, Some(l));
@@ -2574,200 +1815,40 @@ impl ShardStore for CompactShard<'_> {
             }
             self.index_ids -= 1;
             self.len = l;
-            self.words.truncate((self.len - hot_base) * self.stride);
-            // Adopted states stay in the interner arena: re-popping them
-            // would invalidate ids already handed out, and an over-budget
-            // configuration's states are usually shared with kept ones.
+            self.words.truncate((l - hot_base) * self.stride);
         }
     }
-
-    fn terminal_facts(&self, local: usize) -> TerminalFacts {
-        let row = self.row(local);
-        facts_from_statuses(
-            row[self.nobjects..]
-                .iter()
-                .map(|&id| &self.interner.proc(id).status),
-        )
-    }
-
-    fn begin_level(&mut self, frontier: &[usize], rec: &Recorder) {
-        if self.spill.is_none() {
-            return;
-        }
-        {
-            let spill = self.spill.as_mut().unwrap();
-            spill.level += 1;
-            spill.clear_reloaded();
-        }
-        let budget = self.spill.as_ref().unwrap().budget;
-        if self.resident_estimate() > budget {
-            let rows = std::mem::take(&mut self.words);
-            self.spill.as_mut().unwrap().spill_rows(&rows, rec);
-        }
-        self.pin_frontier(frontier, rec);
-        self.evict_to_budget(rec);
-    }
-
-    fn resident_estimate(&self) -> usize {
-        self.interner.table_bytes()
-            + self.interner.resident_state_bytes()
-            + self.words.len() * std::mem::size_of::<u32>()
-            + self.fps.len() * std::mem::size_of::<u64>()
-            + index_bytes(self.index.len(), self.index_ids)
-            + self
-                .spill
-                .as_ref()
-                .map_or(0, |s| s.reloaded_bytes() + s.fence_bytes())
-    }
-
-    fn spilling(&self) -> bool {
-        self.spill.is_some()
-    }
 }
 
-/// One globally-sequenced frontier entry of the sharded explorer: a
-/// [`WorkItem`] keyed by global node id (the owning shard and local index
-/// come from the home directory when the level is partitioned).
-#[derive(Clone, Copy)]
-struct FrontItem {
-    node: u32,
-    fire: u64,
-    sleep: u64,
-    fresh: bool,
-}
-
-/// A frontier entry as handed to its owning shard: `seq` is the item's
-/// position in the globally ordered frontier (the high half of every
-/// production tag it emits).
-#[derive(Clone, Copy)]
-struct ShardItem {
-    seq: u32,
-    global: u32,
-    local: u32,
-    fire: u64,
-    sleep: u64,
-    fresh: bool,
-}
-
-/// The expansion of one shard item, minus the successors themselves
-/// (those were routed to their owners): per-step metadata in tag order.
-struct ShardExpansion {
-    /// `(stepping pid, successor sleep mask)` per routed successor.
-    steps: Vec<(Pid, u64)>,
-    fired: u64,
-    slept: u64,
-    terminal: bool,
-}
-
-/// Read-only per-level context shared by every shard's expansion pass.
-#[derive(Clone, Copy)]
-struct ExpandCtx<'a> {
-    first_sleep: &'a [u64],
-    opts: &'a ExploreOptions,
-    nshards: usize,
-    /// Shared counters + heartbeat sink (the exploration's recorder; the
-    /// per-shard child recorders only collect phase timers).
-    main: &'a Recorder,
-    lvl: LevelCtx,
-}
-
-/// Expands one shard's slice of the frontier: the sharded twin of
-/// [`expand_item`], with successors routed into the owners' shared
-/// bounded-queue sinks instead of looked up against a shared store.
-fn expand_shard<S: ShardStore>(
-    store: &S,
+/// Expands one shard's slice of the frontier, routing every successor
+/// into its owner's shared bounded-queue sink.
+fn expand_shard(
+    store: &RowStore,
     items: &[ShardItem],
-    sinks: &OutboxSinks<S::Wire>,
+    sinks: &OutboxSinks,
     timers: &Recorder,
-    e: ExpandCtx<'_>,
+    x: ExpandCtx<'_>,
 ) -> ExpandOut {
-    let opts = e.opts;
+    let nshards = sinks.len();
     let mut exps = Vec::with_capacity(items.len());
-    let mut staged: Vec<Vec<Routed<S::Wire>>> = (0..e.nshards).map(|_| Vec::new()).collect();
+    let mut staged: Vec<Vec<Routed>> = (0..nshards).map(|_| Vec::new()).collect();
     let mut stats = OutboxStats::default();
-    for item in items {
-        e.main.count_expansions(1);
-        e.main
-            .heartbeat(e.lvl.level, e.lvl.nodes, e.lvl.frontier, e.lvl.remaining);
-        let local = item.local as usize;
-        let enabled = store.enabled_bits(local);
-        if enabled == 0 {
-            exps.push((
-                item.seq,
-                ShardExpansion {
-                    steps: Vec::new(),
-                    fired: 0,
-                    slept: 0,
-                    terminal: true,
-                },
-            ));
-            continue;
-        }
-        let mut fps: Vec<Option<StepFootprint>> = Vec::new();
-        if opts.por {
-            let _t = timers.time_por();
-            fps = vec![None; store.spec().nprocs()];
-            let mut it = enabled;
-            while it != 0 {
-                let i = it.trailing_zeros() as usize;
-                it &= it - 1;
-                fps[i] = Some(store.footprint(local, Pid::new(i))?);
-            }
-        }
-        let (fire, sleep, slept) = if !opts.por {
-            (enabled, 0, 0)
-        } else if item.fresh {
-            let _t = timers.time_por();
-            let sleep = e.first_sleep[item.global as usize] & enabled;
-            let ample = choose_ample(store.spec(), enabled, &fps);
-            let mut fire = ample & !sleep;
-            let mut slept = ample & sleep;
-            if fire == 0 {
-                let low = ample & ample.wrapping_neg();
-                fire = low;
-                slept &= !low;
-            }
-            (fire, sleep, slept)
-        } else {
-            (item.fire, item.sleep, 0)
-        };
-        let mut steps = Vec::new();
+    for si in items {
         let mut step_idx = 0u32;
-        let mut done = 0u64;
-        let mut it = fire;
-        while it != 0 {
-            let i = it.trailing_zeros() as usize;
-            it &= it - 1;
-            let pid = Pid::new(i);
-            let base = if opts.por {
-                (sleep | done) & enabled & !(1 << i)
-            } else {
-                0
-            };
-            for (wire, cfp, perm) in store.successors(local, pid, opts.symmetry, timers)? {
-                if perm.is_some() {
-                    e.main.count_symmetry_hits(1);
-                }
-                let mut succ_sleep = 0u64;
-                if base != 0 {
-                    let _t = timers.time_por();
-                    let me = fps[i].as_ref().expect("enabled pid has a footprint");
-                    let mut qs = base;
-                    while qs != 0 {
-                        let q = qs.trailing_zeros() as usize;
-                        qs &= qs - 1;
-                        let other = fps[q].as_ref().expect("enabled pid has a footprint");
-                        if store.independent(local, me, other) {
-                            succ_sleep |= 1 << q;
-                        }
-                    }
-                    if let Some(perm) = &perm {
-                        succ_sleep = permute_mask(succ_sleep, perm);
-                    }
-                }
-                let owner = shard_of_fingerprint(cfp, e.nshards);
+        let exp = expand_node(
+            store,
+            si.local as usize,
+            &si.item,
+            x,
+            timers,
+            |pid, pending, sleep| {
+                let cfp = {
+                    let _t = timers.time_dedup();
+                    pending.content_fingerprint(&store.interner)
+                };
+                let owner = shard_of_fingerprint(cfp, nshards);
                 let buf = &mut staged[owner];
-                buf.push((tag(item.seq, step_idx), cfp, wire));
+                buf.push((tag(si.seq, step_idx), cfp, pending.export(&store.interner)));
                 stats.sent += 1;
                 if buf.len() >= OUTBOX_CHUNK {
                     stats.flushes += 1;
@@ -2776,21 +1857,11 @@ fn expand_shard<S: ShardStore>(
                         .expect("outbox sink poisoned")
                         .append(buf);
                 }
-                steps.push((pid, succ_sleep));
                 step_idx += 1;
-            }
-            done |= 1 << i;
-        }
-        e.main.count_generated(steps.len() as u64);
-        exps.push((
-            item.seq,
-            ShardExpansion {
-                steps,
-                fired: fire,
-                slept,
-                terminal: false,
+                (pid, sleep)
             },
-        ));
+        )?;
+        exps.push((si.seq, exp));
     }
     for (owner, buf) in staged.iter_mut().enumerate() {
         if !buf.is_empty() {
@@ -2805,20 +1876,16 @@ fn expand_shard<S: ShardStore>(
 }
 
 /// Merges one shard's inbox: sort by production tag (the global
-/// single-store insertion order), then find-or-insert each carrier into
-/// the shard's own table. Because every occurrence of a configuration
-/// routes here, the first inserted occurrence is the *globally* first.
-fn merge_shard<S: ShardStore>(
-    store: &mut S,
-    mut inbox: Vec<Routed<S::Wire>>,
-    timers: &Recorder,
-) -> MergeOut {
+/// single-store insertion order), then find-or-add each carrier in the
+/// shard's own table. Because every occurrence of a configuration routes
+/// here, the first added occurrence is the *globally* first.
+fn merge_shard(store: &mut RowStore, mut inbox: Vec<Routed>, timers: &Recorder) -> MergeOut {
     let _m = timers.time_merge();
     inbox.sort_unstable_by_key(|r| r.0);
     let mut responses = Vec::with_capacity(inbox.len());
     let mut new_tags = Vec::new();
     for (t, cfp, wire) in inbox {
-        let (local, is_new) = store.insert(wire, cfp, timers);
+        let (local, is_new) = store.adopt(wire, cfp, timers);
         responses.push((t, local as u32, is_new));
         if is_new {
             new_tags.push(t);
@@ -2827,44 +1894,39 @@ fn merge_shard<S: ShardStore>(
     (responses, new_tags)
 }
 
-/// Runs the sharded level-synchronized BFS (see the section comment
-/// above) and freezes the adjacency. Returns the graph core plus the
-/// home directory mapping every global node id to `(shard, local)`.
-///
-/// `shards` must already hold the initial configuration as local node 0
-/// of `init_owner`.
-fn explore_sharded<S: ShardStore>(
-    shards: &mut [S],
-    init_owner: usize,
+/// Global node id → `(owning shard, local index)`.
+type Home = Vec<(u32, u32)>;
+
+/// Runs the sharded level-synchronized BFS from `init` (see the section
+/// comment above). Returns the graph core, the shards, and the home
+/// directory mapping every global node id to `(shard, local)`.
+fn explore_sharded(
+    spec: &SystemSpec,
+    init: &Config,
+    nshards: usize,
     opts: &ExploreOptions,
     rec: &Recorder,
-) -> Result<(GraphCore, Vec<(u32, u32)>), SimError> {
-    let nshards = shards.len();
-    let children: Vec<Recorder> = (0..nshards).map(|_| rec.shard_child()).collect();
-    let mut edge_buf: Vec<(u32, Edge)> = Vec::new();
-    let mut terminals = Vec::new();
-    let mut truncated = false;
-    // Streaming-verdict engine: fed in the sequential tag-ordered phase-4
-    // replay, so the accumulated facts are identical to `explore_core`'s
-    // for every shard count.
-    let mut engine = match &opts.goal {
-        ExploreGoal::FullGraph => None,
-        ExploreGoal::Verdict(query) => Some(VerdictEngine::new(query.clone())),
+) -> Result<(GraphCore, Vec<RowStore>, Home), SimError> {
+    // The root's owner is decided by its content fingerprint, which needs
+    // an interner; use a throwaway arena.
+    let fp = {
+        let mut scratch = StateInterner::new();
+        let cc = scratch.intern_config(init);
+        scratch.content_fingerprint_words(init.nobjects(), cc.words())
     };
-    let mut early_exit = false;
-
-    // Global per-node bookkeeping, exactly as in `explore_core`.
-    let mut depth: Vec<u32> = vec![0];
-    let mut first_sleep: Vec<u64> = vec![0];
-    let mut explored: Vec<u64> = vec![0];
-    let mut slept: Vec<u64> = vec![0];
-    let mut pending: Vec<u64> = vec![0];
-    let mut expanded: Vec<bool> = vec![false];
-    let mut full: Vec<bool> = vec![false];
+    let owner = shard_of_fingerprint(fp, nshards);
+    let budget = spill_budget(opts, nshards);
+    let mut shards: Vec<RowStore> = (0..nshards).map(|_| RowStore::new(init, budget)).collect();
+    if budget.is_some() {
+        rec.mark_store_active();
+    }
+    shards[owner].seed(init, |_| fp);
+    let children: Vec<Recorder> = (0..nshards).map(|_| rec.shard_child()).collect();
+    let mut bfs = Bfs::new(opts, rec);
     // Global node id → (owning shard, local index), and the inverse.
-    let mut home: Vec<(u32, u32)> = vec![(init_owner as u32, 0)];
+    let mut home: Home = vec![(owner as u32, 0)];
     let mut l2g: Vec<Vec<u32>> = vec![Vec::new(); nshards];
-    l2g[init_owner].push(0);
+    l2g[owner].push(0);
 
     // Per-shard telemetry (graph shape + traffic).
     let mut shard_edges = vec![0usize; nshards];
@@ -2873,71 +1935,47 @@ fn explore_sharded<S: ShardStore>(
     let mut max_outbox = vec![0usize; nshards];
     let mut outbox_flushes = vec![0u64; nshards];
 
-    let mut frontier = vec![FrontItem {
-        node: 0,
-        fire: 0,
-        sleep: 0,
-        fresh: true,
-    }];
-    let mut cur_depth: u32 = 0;
-    let mut scratch: Vec<Edge> = Vec::new();
-    // Memory-budget truncation, as in `explore_core`: only when no shard
-    // can honor the budget by spilling. (With per-shard estimates summed
-    // each level, the decision depends on shard count, so budget-truncated
-    // in-memory runs do not claim cross-shard graph identity; disk runs
-    // do — eviction never changes the graph.)
-    let mem_budget = if shards.iter().any(|s| s.spilling()) {
-        None
-    } else {
-        opts.effective_store_budget()
-    };
+    let mut frontier = vec![WorkItem::fresh(0)];
     let mut local_ids: Vec<usize> = Vec::new();
     while !frontier.is_empty() {
-        let t_level = rec.is_timing().then(Instant::now);
-        let nodes_before = depth.len();
+        let lvl = bfs.begin_level(frontier.len());
         // Partition the globally ordered frontier into per-shard queues.
         let mut frontiers: Vec<Vec<ShardItem>> = vec![Vec::new(); nshards];
-        for (seq, it) in frontier.iter().enumerate() {
-            let (s, l) = home[it.node as usize];
+        for (seq, &item) in frontier.iter().enumerate() {
+            let (s, local) = home[item.node];
             frontiers[s as usize].push(ShardItem {
                 seq: seq as u32,
-                global: it.node,
-                local: l,
-                fire: it.fire,
-                sleep: it.sleep,
-                fresh: it.fresh,
+                local,
+                item,
             });
         }
         // Sequential level-boundary hook per shard (workers not yet
         // spawned): a disk-backed shard spills/evicts here, pinning its
         // slice of the frontier resident for the level.
-        for (k, store) in shards.iter_mut().enumerate() {
+        for (store, items) in shards.iter_mut().zip(&frontiers) {
             local_ids.clear();
-            local_ids.extend(frontiers[k].iter().map(|it| it.local as usize));
+            local_ids.extend(items.iter().map(|it| it.local as usize));
             store.begin_level(&local_ids, rec);
         }
-        let over_budget = mem_budget
-            .is_some_and(|b| shards.iter().map(|s| s.resident_estimate()).sum::<usize>() > b);
-        let ectx = ExpandCtx {
-            first_sleep: &first_sleep,
+        // With per-shard estimates summed each level, the budget decision
+        // depends on the shard count, so budget-truncated in-memory runs
+        // do not claim cross-shard graph identity; disk runs do — eviction
+        // never changes the graph.
+        let over_budget = bfs.over_budget(|| shards.iter().map(RowStore::resident_estimate).sum());
+        let x = ExpandCtx {
+            spec,
+            first_sleep: &bfs.first_sleep,
             opts,
-            nshards,
             main: rec,
-            lvl: LevelCtx {
-                level: cur_depth,
-                nodes: nodes_before,
-                frontier: frontier.len(),
-                remaining: opts.max_configs.saturating_sub(nodes_before),
-            },
+            lvl,
         };
-        let run_parallel =
-            nshards > 1 && frontier.len() >= PARALLEL_THRESHOLD && host_parallelism() > 1;
+        let parallel = spawn_workers(nshards, frontier.len());
 
         // Phase 1: expand, one worker per shard. Successors flow through
         // shared per-owner bounded-queue sinks in fixed-size chunks, so
         // no worker ever holds more than `nshards * OUTBOX_CHUNK` staged
         // entries regardless of how hot a shard runs.
-        let sinks: OutboxSinks<S::Wire> = (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
+        let sinks: OutboxSinks = (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
         let mut expand_out: Vec<Option<ExpandOut>> = (0..nshards).map(|_| None).collect();
         {
             let sinks = &sinks;
@@ -2946,17 +1984,15 @@ fn explore_sharded<S: ShardStore>(
                 .zip(&frontiers)
                 .zip(&children)
                 .zip(expand_out.iter_mut());
-            if run_parallel {
+            if parallel {
                 std::thread::scope(|sc| {
                     for (((store, items), child), out) in jobs {
-                        sc.spawn(move || {
-                            *out = Some(expand_shard(store, items, sinks, child, ectx));
-                        });
+                        sc.spawn(move || *out = Some(expand_shard(store, items, sinks, child, x)));
                     }
                 });
             } else {
                 for (((store, items), child), out) in jobs {
-                    *out = Some(expand_shard(store, items, sinks, child, ectx));
+                    *out = Some(expand_shard(store, items, sinks, child, x));
                 }
             }
         }
@@ -2969,7 +2005,7 @@ fn explore_sharded<S: ShardStore>(
             traffic_sent[k] += stats.sent;
             outbox_flushes[k] += stats.flushes;
         }
-        let inboxes: Vec<Vec<Routed<S::Wire>>> = sinks
+        let inboxes: Vec<Vec<Routed>> = sinks
             .into_iter()
             .map(|m| m.into_inner().expect("outbox sink poisoned"))
             .collect();
@@ -2986,7 +2022,7 @@ fn explore_sharded<S: ShardStore>(
                 .zip(inboxes)
                 .zip(&children)
                 .zip(merge_out.iter_mut());
-            if run_parallel {
+            if parallel {
                 std::thread::scope(|sc| {
                     for (((store, inbox), child), out) in jobs {
                         sc.spawn(move || *out = Some(merge_shard(store, inbox, child)));
@@ -3013,12 +2049,11 @@ fn explore_sharded<S: ShardStore>(
         // Phase 3: assign global ids to the budgeted prefix of the new
         // nodes (in tag order — the single-store insertion order) and pop
         // the over-budget suffix out of each shard. An over-memory-budget
-        // level keeps nothing: the clean-truncation twin of `level_cap = 0`
-        // in `explore_core`.
+        // level keeps nothing, as in the unsharded merge.
         let budget = if over_budget {
             0
         } else {
-            opts.max_configs.saturating_sub(depth.len())
+            opts.max_configs.saturating_sub(bfs.len())
         };
         let kept = budget.min(new_all.len());
         // keep_limit[k]: locals of shard k below this index survive.
@@ -3033,164 +2068,47 @@ fn explore_sharded<S: ShardStore>(
             }
         }
 
-        // Phase 4: replay the responses in tag order against the global
-        // bookkeeping — identical decision order to `explore_core`'s
-        // sequential merge loop.
+        // Phase 4: replay the responses in tag order into the shared
+        // bookkeeping — the unsharded merge loop's decision order.
         let merge_t = rec.time_merge();
-        let mut next: Vec<FrontItem> = Vec::new();
-        let mut revisits: Vec<(usize, u64)> = Vec::new();
         let mut cursor = 0usize;
         for (seq, item) in frontier.iter().enumerate() {
             let exp = item_exps[seq].take().expect("every item expanded");
-            let i = item.node as usize;
+            let i = item.node;
+            let (hs, hl) = (home[i].0 as usize, home[i].1 as usize);
             if exp.terminal {
-                terminals.push(i);
-                expanded[i] = true;
-                if let Some(eng) = engine.as_mut() {
-                    let (hs, hl) = home[i];
-                    eng.on_terminal(shards[hs as usize].terminal_facts(hl as usize));
-                }
+                bfs.terminal(i, || shards[hs].terminal_facts(hl));
                 continue;
             }
-            let mut escalate = false;
-            scratch.clear();
-            rec.count_sleep_pruned(u64::from(exp.slept.count_ones()));
-            for (si, (pid, succ_sleep)) in exp.steps.into_iter().enumerate() {
+            bfs.begin_node(exp.slept);
+            for (si, (pid, sleep)) in exp.steps.into_iter().enumerate() {
                 let (t, sk, sl, is_new) = responses[cursor];
                 cursor += 1;
                 debug_assert_eq!(t, tag(seq as u32, si as u32));
                 let (sk, sl) = (sk as usize, sl as usize);
-                let (j, known) = if sl >= keep_limit[sk] {
+                let slot = if sl >= keep_limit[sk] {
                     // The owner resolved this occurrence to a node that
                     // fell beyond the configuration (or memory) budget.
-                    rec.count_capped(1);
-                    match mem_budget {
-                        Some(b) if over_budget => rec.set_budget_truncated(b),
-                        _ => rec.set_truncated(opts.max_configs),
-                    }
-                    truncated = true;
-                    continue;
+                    MergeSlot::Capped
                 } else if is_new {
-                    rec.count_added(1);
-                    let j = depth.len();
-                    assert!(j < u32::MAX as usize, "state graph exceeds u32 node ids");
-                    depth.push(cur_depth + 1);
-                    first_sleep.push(succ_sleep);
-                    explored.push(0);
-                    slept.push(0);
-                    pending.push(0);
-                    expanded.push(false);
-                    full.push(false);
+                    MergeSlot::Added
+                } else {
+                    MergeSlot::Known(l2g[sk][sl] as usize)
+                };
+                if let Some(j) = bfs.step(i, pid, slot, sleep) {
                     debug_assert_eq!(l2g[sk].len(), sl);
                     l2g[sk].push(j as u32);
                     home.push((sk as u32, sl as u32));
-                    next.push(FrontItem {
-                        node: j as u32,
-                        fire: 0,
-                        sleep: 0,
-                        fresh: true,
-                    });
-                    (j, false)
-                } else {
-                    rec.count_dedup_hits(1);
-                    (l2g[sk][sl] as usize, true)
-                };
-                if known && depth[j] <= depth[i] {
-                    if opts.por {
-                        escalate = true;
-                    }
-                    if let Some(eng) = engine.as_mut() {
-                        eng.on_retreating_edge();
-                    }
-                }
-                if opts.por && known {
-                    revisits.push((j, succ_sleep));
-                }
-                scratch.push(Edge { pid, to: j as u32 });
-            }
-            if opts.symmetry {
-                scratch.sort_unstable_by_key(|e| (e.pid.index(), e.to));
-                scratch.dedup();
-            }
-            shard_edges[home[i].0 as usize] += scratch.len();
-            edge_buf.extend(scratch.drain(..).map(|e| (i as u32, e)));
-            expanded[i] = true;
-            explored[i] |= exp.fired;
-            pending[i] &= !exp.fired;
-            slept[i] = (slept[i] | exp.slept) & !explored[i];
-            if opts.por && escalate && !full[i] {
-                full[i] = true;
-                let (hs, hl) = home[i];
-                let enabled = shards[hs as usize].enabled_bits(hl as usize);
-                let rest = enabled & !explored[i] & !pending[i];
-                slept[i] = 0;
-                if rest != 0 {
-                    pending[i] |= rest;
-                    next.push(FrontItem {
-                        node: i as u32,
-                        fire: rest,
-                        sleep: 0,
-                        fresh: false,
-                    });
                 }
             }
-            rec.heartbeat(
-                cur_depth,
-                depth.len(),
-                frontier.len(),
-                opts.max_configs.saturating_sub(depth.len()),
-            );
+            shard_edges[hs] +=
+                bfs.finish_node(i, exp.fired, exp.slept, || shards[hs].enabled_bits(hl));
         }
         debug_assert_eq!(cursor, responses.len());
-        for (j, new_sleep) in revisits {
-            if !expanded[j] {
-                first_sleep[j] &= new_sleep;
-                continue;
-            }
-            let wake = slept[j] & !new_sleep;
-            if wake != 0 {
-                slept[j] &= !wake;
-                pending[j] |= wake;
-                next.push(FrontItem {
-                    node: j as u32,
-                    fire: wake,
-                    sleep: new_sleep,
-                    fresh: false,
-                });
-            }
-        }
+        bfs.wake_revisits();
         drop(merge_t);
-        rec.record_peak_bytes(shards.iter().map(|s| s.resident_estimate()).sum());
-        // Level-granular verdict evaluation, mirroring `explore_core`:
-        // the exit point — and the explored-config count — is identical
-        // for every shard count.
-        if let Some(eng) = engine.as_mut() {
-            if eng.wants_cycle_check() {
-                eng.record_cycle_check(edge_buf_has_cycle(depth.len(), &edge_buf));
-            }
-            early_exit = eng.refutation().is_some();
-        }
-        rec.record_level(
-            frontier.len(),
-            depth.len() - nodes_before,
-            depth.len(),
-            edge_buf.len(),
-            t_level.map_or(Duration::ZERO, |t| t.elapsed()),
-        );
-        rec.heartbeat(
-            cur_depth,
-            depth.len(),
-            next.len(),
-            opts.max_configs.saturating_sub(depth.len()),
-        );
-        if early_exit {
-            break;
-        }
-        frontier = next;
-        cur_depth += 1;
+        frontier = bfs.end_level(shards.iter().map(RowStore::resident_estimate).sum());
     }
-    terminals.sort_unstable();
-    terminals.dedup();
 
     // Fold the per-shard phase timers into the main recorder as the
     // parallel critical path, and publish the per-shard breakdowns.
@@ -3210,102 +2128,28 @@ fn explore_sharded<S: ShardStore>(
         })
         .collect();
     rec.set_shards(shard_metrics);
-
-    let verdict = engine.map(|mut eng| {
-        if !truncated && !early_exit && eng.needs_final_cycle_check() {
-            // Same completion re-check as `explore_core`: a cycle through
-            // an old retreating candidate may only have closed after that
-            // candidate's level was checked.
-            eng.record_cycle_check(edge_buf_has_cycle(depth.len(), &edge_buf));
-        }
-        eng.finish(
-            truncated.then_some(opts.max_configs),
-            early_exit,
-            depth.len(),
-        )
-    });
-    let edges = edge_buf.len();
-    let (row_ptr, edge_arr) = if verdict.is_some() {
-        // Verdict goal: nobody reads the CSR — skip the freeze entirely.
-        (Vec::new(), Vec::new())
-    } else {
-        freeze_csr(depth.len(), edge_buf, rec)
-    };
-    Ok((
-        GraphCore {
-            row_ptr,
-            edge_arr,
-            terminals,
-            truncated,
-            edges,
-            verdict,
-        },
-        home,
-    ))
+    Ok((bfs.finish(), shards, home))
 }
 
-/// Sharded exploration with hash-consed nodes: seeds one [`CompactShard`]
-/// per shard, runs the sharded BFS, then stitches the per-shard arenas
-/// back into one interner (deduplicating shared states) and rewrites
-/// every node's id row into a single global words array — the frozen
-/// representation is identical in shape (and in
-/// [`approx_bytes`](StateGraph::approx_bytes)) to a single-store
-/// exploration's.
-fn explore_sharded_compact(
-    spec: &SystemSpec,
-    init: &Config,
-    nshards: usize,
-    opts: &ExploreOptions,
-    rec: &Recorder,
-) -> Result<(NodeStore, GraphCore), SimError> {
-    let nobjects = init.nobjects();
-    let stride = nobjects + init.nprocs();
-    // The root's owner is decided by its content fingerprint, which needs
-    // an interner; use a throwaway arena.
-    let fp = {
-        let mut scratch = StateInterner::new();
-        let cc = scratch.intern_config(init);
-        scratch.content_fingerprint_words(nobjects, cc.words())
-    };
-    let owner = shard_of_fingerprint(fp, nshards);
-    let mut shards: Vec<CompactShard> = (0..nshards)
-        .map(|_| CompactShard::new(spec, nobjects, stride))
-        .collect();
-    if opts.effective_store() == StoreBackend::Disk {
-        // The hot-tier budget bounds the whole exploration, so each shard
-        // gets an equal slice of it.
-        let budget = opts
-            .effective_store_budget()
-            .unwrap_or(DEFAULT_DISK_BUDGET)
-            .div_euclid(nshards)
-            .max(1);
-        for shard in &mut shards {
-            shard.enable_spill(budget);
-        }
-        rec.mark_store_active();
-    }
-    shards[owner].seed(init, fp);
-    let (core, home) = explore_sharded(&mut shards, owner, opts, rec)?;
-    if core.verdict.is_some() {
-        // Verdict goal: node contents are never read again, so the arena
-        // stitch — this path's freeze phase — is skipped entirely (the
-        // spills drop with the shards, removing their run directories).
-        return Ok((NodeStore::Virtual { len: home.len() }, core));
-    }
+/// The sharded explorer's freeze: reconstitutes each shard in memory,
+/// stitches the per-shard arenas back into one interner (deduplicating
+/// shared states) and rewrites every node's id row, in global id order,
+/// into one words array — identical in shape (and in
+/// [`approx_bytes`](StateGraph::approx_bytes)) to an unsharded
+/// exploration's arena.
+fn stitch(mut shards: Vec<RowStore>, home: &[(u32, u32)], rec: &Recorder) -> InternedNodes {
     let _t = rec.time_freeze();
-    // Reconstitute each shard fully in memory before the stitch: arenas
-    // are append-only and ids never move, so the unspilled shard is
-    // bit-identical to an in-memory exploration's.
     for shard in &mut shards {
         shard.unspill(rec);
     }
+    let (nobjects, stride) = (shards[0].nobjects, shards[0].stride);
     let mut interner = StateInterner::new();
     let remaps: Vec<(Vec<u32>, Vec<u32>)> = shards
         .iter()
         .map(|s| interner.absorb_arenas(&s.interner))
         .collect();
     let mut words = Vec::with_capacity(home.len() * stride);
-    for &(s, l) in &home {
+    for &(s, l) in home {
         let (omap, pmap) = &remaps[s as usize];
         let row = shards[s as usize].row(l as usize);
         words.extend(row.iter().enumerate().map(|(slot, &w)| {
@@ -3316,58 +2160,227 @@ fn explore_sharded_compact(
             }
         }));
     }
-    Ok((
-        NodeStore::Interned(Box::new(InternedNodes {
-            interner,
-            nobjects,
-            stride,
-            words,
-            len: home.len(),
-        })),
-        core,
-    ))
+    InternedNodes {
+        interner,
+        nobjects,
+        stride,
+        words,
+    }
 }
 
-/// Sharded exploration with deep nodes: the per-shard `Config` arenas are
-/// gathered into one global-id-ordered vector at freeze time (moves, no
-/// deep copies).
-fn explore_sharded_deep(
-    spec: &SystemSpec,
-    init: Config,
-    nshards: usize,
-    opts: &ExploreOptions,
-    rec: &Recorder,
-) -> Result<(NodeStore, GraphCore), SimError> {
-    let fp = fingerprint(&init);
-    let owner = shard_of_fingerprint(fp, nshards);
-    let mut shards: Vec<DeepShard> = (0..nshards).map(|_| DeepShard::new(spec)).collect();
-    shards[owner].seed(init, fp);
-    let (core, home) = explore_sharded(&mut shards, owner, opts, rec)?;
-    if core.verdict.is_some() {
-        // Verdict goal: skip the arena gather, as in the compact path.
-        return Ok((NodeStore::Virtual { len: home.len() }, core));
+/// One outgoing edge of the configuration graph.
+///
+/// Node indices are `u32`: the CSR representation caps a graph at
+/// `u32::MAX` nodes, far beyond what any exhaustive exploration holds in
+/// memory, and halves the edge array's footprint.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Edge {
+    /// The process whose step produced this edge.
+    pub pid: Pid,
+    /// Index of the successor configuration.
+    pub to: u32,
+}
+
+impl Edge {
+    /// The successor node index widened for direct indexing.
+    pub fn target(&self) -> usize {
+        self.to as usize
     }
-    let _t = rec.time_freeze();
-    let mut arenas: Vec<Vec<Option<Config>>> = shards
-        .into_iter()
-        .map(|s| s.configs.into_iter().map(Some).collect())
-        .collect();
-    let configs = home
-        .iter()
-        .map(|&(s, l)| {
-            arenas[s as usize][l as usize]
-                .take()
-                .expect("every node has one home")
-        })
-        .collect();
-    Ok((NodeStore::Deep(configs), core))
+}
+
+/// Summary statistics of a [`StateGraph`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GraphStats {
+    /// Number of distinct reachable configurations.
+    pub configs: usize,
+    /// Total number of edges (steps).
+    pub edges: usize,
+    /// Number of final configurations.
+    pub terminals: usize,
+    /// Maximum branching factor of any configuration.
+    pub max_out_degree: usize,
+    /// Longest shortest-path distance from the initial configuration.
+    pub max_depth: usize,
+    /// Whether the exploration was truncated.
+    pub truncated: bool,
+}
+
+impl std::fmt::Display for GraphStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} configs, {} edges, {} terminals, out-degree ≤ {}, depth {}{}",
+            self.configs,
+            self.edges,
+            self.terminals,
+            self.max_out_degree,
+            self.max_depth,
+            if self.truncated { " (TRUNCATED)" } else { "" }
+        )
+    }
+}
+
+/// A borrowed view of one graph node with **id-native** accessors:
+/// process statuses, enabled sets and decision sets are read straight
+/// from the node's `u32` id row (one interner lookup per id), so property
+/// predicates probing thousands of nodes never materialize a deep
+/// [`Config`] per probe. Use [`NodeView::config`] only when the whole
+/// configuration is genuinely needed.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeView<'g> {
+    nodes: &'g InternedNodes,
+    index: usize,
+}
+
+impl<'g> NodeView<'g> {
+    /// This node's index in the graph.
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Number of processes in the system.
+    pub fn nprocs(&self) -> usize {
+        self.nodes.stride - self.nodes.nobjects
+    }
+
+    /// Status of process `pid`, borrowed from the interner.
+    pub fn status(&self, pid: Pid) -> &'g ProcStatus {
+        let id = self.nodes.row(self.index)[self.nodes.nobjects + pid.index()];
+        &self.nodes.interner.proc(id).status
+    }
+
+    /// Bitset of the enabled processes.
+    pub fn enabled_bits(&self) -> u64 {
+        self.nodes
+            .interner
+            .enabled_bits(self.nodes.nobjects, self.nodes.row(self.index))
+    }
+
+    /// `true` iff no process is enabled (a terminal configuration).
+    pub fn is_final(&self) -> bool {
+        self.enabled_bits() == 0
+    }
+
+    /// Per-process decisions, `None` for undecided processes.
+    pub fn decisions(&self) -> Vec<Option<Value>> {
+        (0..self.nprocs())
+            .map(|p| self.status(Pid::new(p)).decision().cloned())
+            .collect()
+    }
+
+    /// The sorted, deduplicated set of values decided at this node.
+    pub fn decided_values(&self) -> Vec<Value> {
+        let mut vals: Vec<Value> = (0..self.nprocs())
+            .filter_map(|p| self.status(Pid::new(p)).decision().cloned())
+            .collect();
+        vals.sort();
+        vals.dedup();
+        vals
+    }
+
+    /// The full configuration, materialized on demand — per-probe cost
+    /// the id-native accessors above avoid; prefer them in predicates.
+    pub fn config(&self) -> Config {
+        self.nodes
+            .interner
+            .materialize_words(self.nodes.nobjects, self.nodes.row(self.index))
+    }
+}
+
+/// The reachable configuration graph of a system, with every scheduler choice
+/// and every nondeterministic object outcome expanded (unless reduced — see
+/// [`StateGraph::is_por_reduced`]).
+///
+/// Node `0` is the initial configuration. Adjacency is stored in
+/// compressed-sparse-row form: `row_ptr[i]..row_ptr[i + 1]` indexes node
+/// `i`'s slice of one flat edge array.
+#[derive(Clone, Debug)]
+pub struct StateGraph {
+    /// The frozen node arena; `None` for an [`ExploreGoal::Verdict`]
+    /// exploration, which skips it (its callers never look at
+    /// configurations again) and keeps only the node count.
+    nodes: Option<InternedNodes>,
+    len: usize,
+    row_ptr: Vec<u32>,
+    edge_arr: Vec<Edge>,
+    terminals: Vec<usize>,
+    truncated: bool,
+    por: bool,
+    metrics: ExploreMetrics,
+    /// The streaming verdict of a [`ExploreGoal::Verdict`] exploration
+    /// (`None` under [`ExploreGoal::FullGraph`]). When present, the CSR
+    /// adjacency was never frozen — see [`StateGraph::is_verdict_only`].
+    verdict: Option<StreamingVerdict>,
+}
+
+/// The frozen node arena of a [`StateGraph`]: `stride` id words per node in
+/// one flat row-major array, resolved through the interner.
+#[derive(Clone, Debug)]
+struct InternedNodes {
+    interner: StateInterner,
+    nobjects: usize,
+    stride: usize,
+    words: Vec<u32>,
+}
+
+impl InternedNodes {
+    fn row(&self, i: usize) -> &[u32] {
+        &self.words[i * self.stride..(i + 1) * self.stride]
+    }
+}
+
+/// The explorer's output before node storage is attached: node count, CSR
+/// adjacency, terminals and the truncation flag. Under a verdict goal the
+/// CSR vectors are empty (the freeze is skipped) and `edges` keeps the true
+/// recorded edge count for the metrics; otherwise `edges == edge_arr.len()`.
+struct GraphCore {
+    len: usize,
+    row_ptr: Vec<u32>,
+    edge_arr: Vec<Edge>,
+    terminals: Vec<usize>,
+    truncated: bool,
+    edges: usize,
+    verdict: Option<StreamingVerdict>,
+}
+
+/// One-line stderr warning when an exploration hits its `max_configs`
+/// bound: callers routinely ignore the `truncated` flag, and a silently
+/// partial graph invalidates every analysis run on it. Emitted once per
+/// process (a benchmark timing loop may truncate thousands of times); the
+/// cause is always recorded per graph in [`ExploreMetrics`].
+fn warn_truncated(cap: usize, configs: usize) {
+    warn_once(
+        "truncated",
+        &format!(
+            "modelcheck: WARNING: exploration truncated at max_configs = {cap} \
+             ({configs} configs kept); analyses on this graph are partial \
+             (further truncation warnings suppressed for this process)"
+        ),
+    );
+}
+
+/// One-line stderr hint when an in-memory exploration truncates on its
+/// hot-tier byte budget: the disk store lifts exactly this bound.
+fn warn_budget_truncated(budget: usize, configs: usize) {
+    warn_once(
+        "budget_truncated",
+        &format!(
+            "modelcheck: WARNING: exploration truncated at store_budget_bytes = \
+             {budget} ({configs} configs kept); analyses on this graph are \
+             partial. Set MC_STORE=disk (or \
+             ExploreOptions::with_store(StoreBackend::Disk)) to spill cold \
+             state to disk instead of truncating (further budget-truncation \
+             warnings suppressed for this process)"
+        ),
+    );
 }
 
 impl StateGraph {
     /// Exhaustively explores `spec` from its initial configuration,
-    /// breadth-first. With `opts.threads > 1` each depth level is expanded
-    /// in parallel; the merge order makes the resulting graph identical
-    /// node-for-node to the sequential one.
+    /// breadth-first. With `opts.threads > 1` each large depth level is
+    /// expanded in parallel (in-line on a single-core host); the merge
+    /// order makes the resulting graph identical node-for-node to the
+    /// sequential one.
     ///
     /// With `opts.symmetry`, the result is the **orbit-quotient** graph:
     /// every configuration is replaced by the canonical representative of
@@ -3439,51 +2452,20 @@ impl StateGraph {
             spec.initial_config()
         };
         let nshards = opts.effective_shards();
-        if opts.effective_store() == StoreBackend::Disk && !opts.interned {
-            warn_disk_needs_interned();
-        }
-        let (store, core) = if nshards > 1 {
-            if opts.interned {
-                explore_sharded_compact(spec, &init, nshards, &opts, rec)?
-            } else {
-                explore_sharded_deep(spec, init, nshards, &opts, rec)?
-            }
-        } else if opts.interned {
-            let mut store = CompactStore::new(spec, rec, &init);
-            if opts.effective_store() == StoreBackend::Disk {
-                store.enable_spill(opts.effective_store_budget().unwrap_or(DEFAULT_DISK_BUDGET));
-                rec.mark_store_active();
-            }
-            let core = explore_core(&mut store, &opts, rec)?;
-            // Reconstitute before freezing (bit-identical to an in-memory
-            // run — arenas are append-only and ids never move); the spill
-            // drops here, removing its run directory.
-            store.unspill();
-            let CompactStore {
-                interner,
-                nobjects,
-                stride,
-                words,
-                len,
-                ..
-            } = store;
-            (
-                NodeStore::Interned(Box::new(InternedNodes {
-                    interner,
-                    nobjects,
-                    stride,
-                    words,
-                    len,
-                })),
-                core,
-            )
+        // A verdict goal keeps no node contents: its callers never look at
+        // configurations again, so the stores — and any spill, with its run
+        // directory — drop here without being reconstituted or stitched.
+        let keep_nodes = matches!(opts.goal, ExploreGoal::FullGraph);
+        let (core, nodes) = if nshards > 1 {
+            let (core, shards, home) = explore_sharded(spec, &init, nshards, &opts, rec)?;
+            (core, keep_nodes.then(|| stitch(shards, &home, rec)))
         } else {
-            let mut store = DeepStore::new(spec, rec, init);
-            let core = explore_core(&mut store, &opts, rec)?;
-            (NodeStore::Deep(store.configs), core)
+            let (core, store) = explore_core(spec, &init, &opts, rec)?;
+            (core, keep_nodes.then(|| store.into_nodes(rec)))
         };
         let mut graph = StateGraph {
-            store,
+            nodes,
+            len: core.len,
             row_ptr: core.row_ptr,
             edge_arr: core.edge_arr,
             terminals: core.terminals,
@@ -3549,13 +2531,13 @@ impl StateGraph {
 
     /// Returns the number of distinct reachable configurations.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.len
     }
 
     /// Returns `true` if the graph has no configurations (never happens for a
     /// successfully explored system, which always has the initial one).
     pub fn is_empty(&self) -> bool {
-        self.store.len() == 0
+        self.len == 0
     }
 
     /// Returns `true` if the exploration hit its bound.
@@ -3609,55 +2591,32 @@ impl StateGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range, or on a *sharded* verdict-only
-    /// graph (whose node contents were never gathered).
+    /// Panics if `index` is out of range, or on a verdict-only graph
+    /// (whose node contents were never gathered).
     pub fn node(&self, index: usize) -> NodeView<'_> {
-        assert!(index < self.store.len(), "node index out of range");
-        assert!(
-            !matches!(self.store, NodeStore::Virtual { .. }),
-            "node contents of a sharded ExploreGoal::Verdict exploration \
-             are never gathered; re-explore with ExploreGoal::FullGraph to \
-             inspect configurations",
+        assert!(index < self.len, "node index out of range");
+        let nodes = self.nodes.as_ref().expect(
+            "node contents of an ExploreGoal::Verdict exploration are never \
+             gathered; re-explore with ExploreGoal::FullGraph to inspect \
+             configurations",
         );
-        NodeView { graph: self, index }
+        NodeView { nodes, index }
     }
 
-    /// Returns the configuration at `index`.
-    ///
-    /// Owned because the interned representation materializes it from id
-    /// words on demand; either way the cost is per-slot `Arc` clones, no
-    /// state is deep-copied.
+    /// Returns the configuration at `index`, materialized from its id row
+    /// (per-slot `Arc` clones; no state is deep-copied).
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range.
+    /// Panics if `index` is out of range, or on a verdict-only graph.
     pub fn config(&self, index: usize) -> Config {
-        match &self.store {
-            NodeStore::Deep(configs) => configs[index].clone(),
-            NodeStore::Interned(nodes) => {
-                assert!(index < nodes.len, "node index out of range");
-                nodes.interner.materialize_words(
-                    nodes.nobjects,
-                    &nodes.words[index * nodes.stride..(index + 1) * nodes.stride],
-                )
-            }
-            NodeStore::Virtual { .. } => panic!(
-                "node contents of a sharded ExploreGoal::Verdict exploration \
-                 are never gathered; re-explore with ExploreGoal::FullGraph \
-                 to inspect configurations",
-            ),
-        }
+        self.node(index).config()
     }
 
-    /// Interner statistics of a hash-consed exploration
-    /// ([`ExploreOptions::interned`]): arena sizes, hit rates and footprint.
-    /// `None` for a deep-representation graph.
+    /// Interner statistics of the node arena: arena sizes, hit rates and
+    /// footprint. `None` for a verdict-only graph, which keeps no arena.
     pub fn interner_stats(&self) -> Option<InternerStats> {
-        match &self.store {
-            NodeStore::Deep(_) => None,
-            NodeStore::Interned(nodes) => Some(nodes.interner.stats()),
-            NodeStore::Virtual { .. } => None,
-        }
+        self.nodes.as_ref().map(|nodes| nodes.interner.stats())
     }
 
     /// Returns the outgoing edges of node `index`.
@@ -3677,31 +2636,17 @@ impl StateGraph {
         &self.terminals
     }
 
-    /// Approximate resident bytes of the frozen graph: the node arena (per
-    /// node, a `Config` struct plus its pointer arrays for the deep
-    /// representation, or `stride` id words plus the interner's hash
-    /// tables and unique states for the interned one — shared deep states
-    /// are excluded for the deep representation, being `Arc`-shared
-    /// across nodes), the CSR arrays and the terminal list.
+    /// Approximate resident bytes of the frozen graph: the node arena
+    /// (`stride` id words per node plus the interner's hash tables and
+    /// unique states — the interner *is* the state storage, and its bytes
+    /// drive the disk store's eviction too), the CSR arrays and the
+    /// terminal list.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let nodes = match &self.store {
-            NodeStore::Deep(configs) => {
-                let per_config = size_of::<Config>()
-                    + configs
-                        .first()
-                        .map_or(0, |c| (c.nobjects() + c.nprocs()) * size_of::<usize>());
-                configs.len() * per_config
-            }
-            NodeStore::Interned(nodes) => {
-                // The interner IS this representation's state storage, so
-                // its tables and unique states are part of the honest
-                // footprint (they drive the disk store's eviction too).
-                let s = nodes.interner.stats();
-                nodes.words.len() * size_of::<u32>() + s.table_bytes + s.state_bytes
-            }
-            NodeStore::Virtual { .. } => 0,
-        };
+        let nodes = self.nodes.as_ref().map_or(0, |nodes| {
+            let s = nodes.interner.stats();
+            nodes.words.len() * size_of::<u32>() + s.table_bytes + s.state_bytes
+        });
         nodes
             + self.row_ptr.len() * size_of::<u32>()
             + self.edge_arr.len() * size_of::<Edge>()
@@ -3742,7 +2687,7 @@ impl StateGraph {
     pub fn stats(&self) -> GraphStats {
         self.require_csr("stats");
         use std::collections::VecDeque;
-        let n = self.store.len();
+        let n = self.len;
         let max_out_degree = (0..n)
             .map(|i| (self.row_ptr[i + 1] - self.row_ptr[i]) as usize)
             .max()
@@ -3792,8 +2737,8 @@ impl StateGraph {
         self.require_csr("witness_schedule");
         use std::collections::VecDeque;
         // parent[i] = (predecessor node, pid that stepped), for BFS tree.
-        let mut parent: Vec<Option<(usize, Pid)>> = vec![None; self.store.len()];
-        let mut seen = vec![false; self.store.len()];
+        let mut parent: Vec<Option<(usize, Pid)>> = vec![None; self.len];
+        let mut seen = vec![false; self.len];
         let mut queue = VecDeque::new();
         seen[0] = true;
         queue.push_back(0usize);
@@ -3832,7 +2777,7 @@ impl StateGraph {
         const WHITE: u8 = 0;
         const GRAY: u8 = 1;
         const BLACK: u8 = 2;
-        let n = self.store.len();
+        let n = self.len;
         let mut color = vec![WHITE; n];
         for root in 0..n {
             if color[root] != WHITE {
@@ -4297,65 +3242,6 @@ mod tests {
         assert_eq!(terminal_configs(&red), terminal_configs(&full));
     }
 
-    /// Every (symmetry, por) combination: the interned explorer must be
-    /// node-for-node, edge-for-edge identical to the deep one.
-    #[test]
-    fn interned_exploration_matches_deep_representation() {
-        for spec in [race_spec(2), race_spec(3), blocked_spec(2)] {
-            for symmetry in [false, true] {
-                for por in [false, true] {
-                    let base = ExploreOptions::default()
-                        .with_symmetry(symmetry)
-                        .with_por(por);
-                    let deep =
-                        StateGraph::explore(&spec, &base.clone().with_interned(false)).unwrap();
-                    let compact = StateGraph::explore(&spec, &base.with_interned(true)).unwrap();
-                    assert!(compact.interner_stats().is_some());
-                    assert!(deep.interner_stats().is_none());
-                    assert_eq!(compact.len(), deep.len(), "sym={symmetry} por={por}");
-                    for i in 0..deep.len() {
-                        assert_eq!(
-                            compact.config(i),
-                            deep.config(i),
-                            "node {i} sym={symmetry} por={por}"
-                        );
-                        assert_eq!(
-                            compact.edges(i),
-                            deep.edges(i),
-                            "edges {i} sym={symmetry} por={por}"
-                        );
-                    }
-                    assert_eq!(compact.terminals(), deep.terminals());
-                    assert_eq!(compact.is_truncated(), deep.is_truncated());
-                    // The id rows must be strictly smaller than the deep
-                    // pointer arrays (same CSR on both sides).
-                    assert!(compact.approx_bytes() < deep.approx_bytes());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn truncated_interned_exploration_matches_deep() {
-        let spec = race_spec(3);
-        let deep = StateGraph::explore(
-            &spec,
-            &ExploreOptions::with_max_configs(40).with_interned(false),
-        )
-        .unwrap();
-        let compact = StateGraph::explore(
-            &spec,
-            &ExploreOptions::with_max_configs(40).with_interned(true),
-        )
-        .unwrap();
-        assert!(deep.is_truncated() && compact.is_truncated());
-        assert_eq!(deep.len(), compact.len());
-        for i in 0..deep.len() {
-            assert_eq!(deep.config(i), compact.config(i));
-            assert_eq!(deep.edges(i), compact.edges(i));
-        }
-    }
-
     #[test]
     fn interner_stats_reflect_sharing() {
         let g = StateGraph::explore(&race_spec(3), &ExploreOptions::default()).unwrap();
@@ -4412,21 +3298,30 @@ mod tests {
 
     #[test]
     fn colliding_fingerprints_never_merge_distinct_configs() {
-        // Cram every distinct configuration of a real graph into a single
-        // fingerprint bucket (the worst possible hash) and verify lookup
-        // still resolves each to exactly itself — dedup relies on full
-        // equality, never the fingerprint alone.
+        // File every distinct configuration of a real graph under a single
+        // fingerprint (the worst possible hash) and verify both dedup
+        // probes still resolve each to exactly itself — dedup relies on
+        // the id-word compare, never the fingerprint alone.
         let g = StateGraph::explore(&race_spec(2), &ExploreOptions::default()).unwrap();
-        let configs: Vec<Config> = (0..g.len()).map(|i| g.config(i)).collect();
-        let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-        index.insert(0, (0..configs.len()).collect());
-        for (i, c) in configs.iter().enumerate() {
-            assert_eq!(lookup(&index, &configs, 0, c), Some(i));
+        let rec = Recorder::new();
+        let init = g.config(0);
+        let mut store = RowStore::new(&init, None);
+        let mut rows = Vec::new();
+        for i in 0..g.len() {
+            let row = store.interner.intern_config(&g.config(i)).words().to_vec();
+            store.push(&row, 0);
+            rows.push(row);
         }
-        // A configuration outside the arena is never claimed found, even
-        // when the bucket lists every node.
-        let foreign = race_spec(3).initial_config();
-        assert_eq!(lookup(&index, &configs, 0, &foreign), None);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(store.find_resident(0, row, &rec), Some(i));
+            assert_eq!(store.find(0, row, &rec), Some(i));
+        }
+        // A row outside the store is never claimed found, even when the
+        // bucket lists every node.
+        let mut foreign = rows[0].clone();
+        foreign[0] = u32::MAX;
+        assert_eq!(store.find_resident(0, &foreign, &rec), None);
+        assert_eq!(store.find(0, &foreign, &rec), None);
     }
 
     /// Two indistinguishable processes racing on one register: the one
@@ -4456,31 +3351,16 @@ mod tests {
     #[test]
     fn sharded_exploration_is_shard_count_independent() {
         let spec = race_spec(3);
-        for interned in [false, true] {
-            let base = StateGraph::explore(
-                &spec,
-                &ExploreOptions::default()
-                    .with_interned(interned)
-                    .with_shards(1),
-            )
-            .unwrap();
-            assert!(base.len() > 100, "a nontrivial graph");
-            for shards in [2usize, 3, 4] {
-                let opts = ExploreOptions::default()
-                    .with_interned(interned)
-                    .with_shards(shards);
-                let g = StateGraph::explore(&spec, &opts).unwrap();
-                assert_graphs_identical(&g, &base, &format!("{shards} shards interned={interned}"));
-                // The freeze-time arena stitch must reproduce the exact
-                // single-store representation, bytes included — the CI
-                // bench guard diffs this across MC_SHARDS values.
-                assert_eq!(
-                    g.approx_bytes(),
-                    base.approx_bytes(),
-                    "{shards} shards interned={interned}"
-                );
-                assert_eq!(g.interner_stats().is_some(), interned);
-            }
+        let base = StateGraph::explore(&spec, &ExploreOptions::default().with_shards(1)).unwrap();
+        assert!(base.len() > 100, "a nontrivial graph");
+        for shards in [2usize, 3, 4] {
+            let opts = ExploreOptions::default().with_shards(shards);
+            let g = StateGraph::explore(&spec, &opts).unwrap();
+            assert_graphs_identical(&g, &base, &format!("{shards} shards"));
+            // The freeze-time arena stitch must reproduce the exact
+            // single-store representation, bytes included — the CI bench
+            // guard diffs this across MC_SHARDS values.
+            assert_eq!(g.approx_bytes(), base.approx_bytes(), "{shards} shards");
         }
     }
 
@@ -4514,18 +3394,12 @@ mod tests {
     #[test]
     fn truncated_sharded_exploration_matches_unsharded() {
         let spec = race_spec(3);
-        for interned in [false, true] {
-            let base_opts = ExploreOptions::with_max_configs(40).with_interned(interned);
-            let base = StateGraph::explore(&spec, &base_opts).unwrap();
-            assert!(base.is_truncated());
-            for shards in [2usize, 4] {
-                let g = StateGraph::explore(&spec, &base_opts.clone().with_shards(shards)).unwrap();
-                assert_graphs_identical(
-                    &g,
-                    &base,
-                    &format!("cap=40 interned={interned} shards={shards}"),
-                );
-            }
+        let base_opts = ExploreOptions::with_max_configs(40);
+        let base = StateGraph::explore(&spec, &base_opts).unwrap();
+        assert!(base.is_truncated());
+        for shards in [2usize, 4] {
+            let g = StateGraph::explore(&spec, &base_opts.clone().with_shards(shards)).unwrap();
+            assert_graphs_identical(&g, &base, &format!("cap=40 shards={shards}"));
         }
     }
 

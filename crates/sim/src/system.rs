@@ -830,6 +830,26 @@ impl SystemSpec {
         })
     }
 
+    /// Whether two steps with these footprints are independent in the
+    /// interned configuration `words` — the id-space twin of
+    /// [`SystemSpec::footprints_independent`], resolving only the shared
+    /// object's state through the interner.
+    pub fn compact_footprints_independent(
+        &self,
+        interner: &StateInterner,
+        words: &[u32],
+        a: &StepFootprint,
+        b: &StepFootprint,
+    ) -> bool {
+        match (a, b) {
+            (StepFootprint::Local, _) | (_, StepFootprint::Local) => true,
+            (
+                StepFootprint::Object { obj: oa, op: pa },
+                StepFootprint::Object { obj: ob, op: pb },
+            ) => oa != ob || self.ops_commute(*oa, interner.object(words[oa.index()]), pa, pb),
+        }
+    }
+
     /// Computes every successor of scheduling `pid` in the interned
     /// configuration `words`, as [`PendingConfig`]s: unchanged slots keep
     /// their id words, and only the stepped process (plus the touched

@@ -31,6 +31,13 @@ impl ObjectSpec for Sticky {
         let winner = if state.is_nil() { v } else { state.clone() };
         Ok(vec![Outcome::ret(winner.clone(), winner)])
     }
+
+    /// Once set, the cell absorbs every proposal; before that, equal
+    /// proposals commute. Gives the independence check below a same-object
+    /// case that depends on the object's state.
+    fn commutes(&self, state: &Value, a: &Op, b: &Op) -> bool {
+        !state.is_nil() || a == b
+    }
 }
 
 /// A nondeterministic coin: `flip` lands 0 or 1. The outcome list repeats
@@ -195,13 +202,25 @@ fn compact_stepping_stays_in_lockstep_with_deep() {
             if enabled.is_empty() {
                 break;
             }
+            // Footprints agree, and so does step independence for every
+            // pair of enabled pids — the id-space decision POR makes.
+            for &p in &enabled {
+                let fp = spec.step_footprint(&deep, p).unwrap();
+                assert_eq!(
+                    spec.compact_footprint(&interner, &words, p).unwrap(),
+                    fp,
+                    "seed {seed}: footprint"
+                );
+                for &q in &enabled {
+                    let fq = spec.step_footprint(&deep, q).unwrap();
+                    assert_eq!(
+                        spec.compact_footprints_independent(&interner, &words, &fp, &fq),
+                        spec.footprints_independent(&deep, &fp, &fq),
+                        "seed {seed}: independence of {p:?} and {q:?}"
+                    );
+                }
+            }
             let pid = enabled[rng.gen_index(enabled.len())];
-            // Footprints agree.
-            assert_eq!(
-                spec.compact_footprint(&interner, &words, pid).unwrap(),
-                spec.step_footprint(&deep, pid).unwrap(),
-                "seed {seed}: footprint"
-            );
             // Successor sets agree element-for-element, including the
             // dedup of the coin's duplicate outcome.
             let deep_succs = spec.successors(&deep, pid).unwrap();

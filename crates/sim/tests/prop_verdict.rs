@@ -617,16 +617,37 @@ fn edges_panic_on_verdict_only_graph() {
 }
 
 #[test]
-#[should_panic(expected = "never gathered")]
-fn node_contents_panic_on_sharded_verdict_only_graph() {
-    let g = StateGraph::explore(
-        &gate_system(3),
-        &ExploreOptions::default()
-            .with_shards(4)
-            .with_goal(ExploreGoal::Verdict(
-                VerdictQuery::new().require_wait_freedom(),
-            )),
-    )
-    .expect("verdict explore");
-    let _ = g.node(0);
+fn node_contents_panic_on_verdict_only_graph() {
+    // A verdict-only graph keeps no node contents at any shard count, so
+    // every node accessor fails the same way at `MC_SHARDS=1` and `4`.
+    for shards in [1usize, 4] {
+        let g = StateGraph::explore(
+            &gate_system(3),
+            &ExploreOptions::default()
+                .with_shards(shards)
+                .with_goal(ExploreGoal::Verdict(
+                    VerdictQuery::new().require_wait_freedom(),
+                )),
+        )
+        .expect("verdict explore");
+        assert!(g.interner_stats().is_none(), "shards={shards}");
+        let probes: [&dyn Fn(); 2] = [
+            &|| {
+                let _ = g.node(0);
+            },
+            &|| {
+                let _ = g.config(0);
+            },
+        ];
+        for probe in probes {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(probe))
+                .expect_err("node contents of a verdict-only graph");
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains("never gathered"), "shards={shards}: {msg}");
+        }
+    }
 }

@@ -1,5 +1,10 @@
 #!/usr/bin/env bash
-# Deterministic bench guard, five gates:
+# Deterministic bench guard, five gates behind one provenance check:
+#
+# 0. Baseline provenance: the committed BENCH_modelcheck.json must have
+#    been generated from a clean worktree ("dirty": false in its meta) —
+#    a baseline measured on uncommitted code cannot be reproduced from
+#    any revision, so gate 2 would compare against unknown code.
 #
 # 1. Shard-count independence: the e9 smoke bench runs twice — once with
 #    MC_SHARDS=1 and once with MC_SHARDS=4, so the second run routes every
@@ -55,6 +60,10 @@ BASELINE="BENCH_modelcheck.json"
 if [[ ! -f "$BASELINE" ]]; then
   echo "bench_guard: no $BASELINE baseline; skipping" >&2
   exit 0
+fi
+if grep -q '"dirty": true' "$BASELINE"; then
+  echo "bench_guard: FAILED — $BASELINE was generated from a dirty worktree (meta.dirty = true); regenerate it with cargo bench -p subconsensus-bench --bench e9_modelcheck on a clean checkout" >&2
+  exit 1
 fi
 
 raw=$(MC_SHARDS=1 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|INTERNER|VERDICT) ' || true)

@@ -128,7 +128,7 @@ fn render_run(rec: &JsonValue, n: usize) -> String {
         let _ = writeln!(
             out,
             "  options: goal {}, max_configs {}, threads {}, shards {}, \
-             symmetry {}, por {}, interned {}, store {}{budget}",
+             symmetry {}, por {}, store {}{budget}",
             opts.get("goal").and_then(JsonValue::as_str).unwrap_or("?"),
             int(opts, "max_configs"),
             int(opts, "threads"),
@@ -137,9 +137,6 @@ fn render_run(rec: &JsonValue, n: usize) -> String {
                 .and_then(JsonValue::as_bool)
                 .unwrap_or(false),
             opts.get("por")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(false),
-            opts.get("interned")
                 .and_then(JsonValue::as_bool)
                 .unwrap_or(false),
             opts.get("store").and_then(JsonValue::as_str).unwrap_or("?"),

@@ -18,6 +18,8 @@ use subconsensus_sim::{
     ObjectSpec, Pid, Protocol, SymmetryGroups, SystemBuilder, SystemSpec, Value,
 };
 
+mod reference;
+
 // Local copies of the bench fixtures (the root package does not depend on
 // the bench crate), mirroring `subconsensus_bench::{grouped_system,
 // grouped_system_sym, partition_system, partition_system_sym}`.
@@ -182,29 +184,40 @@ fn quotient_shrinks_symmetric_graphs_and_preserves_trivial_ones() {
 }
 
 #[test]
-fn interned_quotient_identical_to_deep_quotient() {
-    // The hash-consed node store must commute with the symmetry quotient:
-    // canonicalizing in id space picks the same orbit representatives in the
-    // same order as canonicalizing deep `Config`s, so the two graphs — and
-    // every verdict derived from them — are identical, not merely isomorphic.
+fn quotient_matches_reference_explorer() {
+    // The id-space canonicalization must pick the same orbit
+    // representatives, in the same order, as the naive reference BFS that
+    // canonicalizes deep `Config`s — node for node, for every thread and
+    // shard count and under a truncating configuration bound — so every
+    // verdict derived from the quotient is the reference's, not merely an
+    // isomorphic one.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e1 distinct p3", grouped_system(2, 1, 3)),
         ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
     ] {
         for symmetry in [false, true] {
-            let opts = ExploreOptions::default().with_symmetry(symmetry);
-            let deep = StateGraph::explore(&spec, &opts.clone().with_interned(false))
-                .expect("deep explore");
-            let interned = StateGraph::explore(&spec, &opts).expect("interned explore");
-            let label = format!("{label} (symmetry={symmetry})");
-            assert_eq!(deep.len(), interned.len(), "{label}: node count");
-            for i in 0..deep.len() {
-                assert_eq!(deep.config(i), interned.config(i), "{label}: node {i}");
-                assert_eq!(deep.edges(i), interned.edges(i), "{label}: edges of {i}");
+            let full = reference::explore(&spec, symmetry, usize::MAX);
+            for max_configs in [usize::MAX, full.configs.len() / 2] {
+                let r = reference::explore(&spec, symmetry, max_configs);
+                for threads in [1usize, 4] {
+                    for shards in [1usize, 2, 4] {
+                        let opts = ExploreOptions::with_max_configs(max_configs)
+                            .with_symmetry(symmetry)
+                            .with_threads(threads)
+                            .with_shards(shards);
+                        let g = StateGraph::explore(&spec, &opts).expect("explore");
+                        reference::assert_matches(
+                            &g,
+                            &r,
+                            &format!(
+                                "{label} (symmetry={symmetry} cap={max_configs} \
+                                 x{threads} threads x{shards} shards)"
+                            ),
+                        );
+                    }
+                }
             }
-            assert_eq!(deep.terminals(), interned.terminals(), "{label}: terminals");
-            assert_verdicts_agree(&deep, &interned, &label);
         }
     }
 }
@@ -220,24 +233,19 @@ fn sharded_quotient_identical_across_shard_counts() {
         ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
     ] {
         for symmetry in [false, true] {
-            for interned in [false, true] {
-                let opts = ExploreOptions::default()
-                    .with_symmetry(symmetry)
-                    .with_interned(interned);
-                let base = StateGraph::explore(&spec, &opts).expect("unsharded explore");
-                for shards in [2usize, 4] {
-                    let g = StateGraph::explore(&spec, &opts.clone().with_shards(shards))
-                        .expect("sharded explore");
-                    let label =
-                        format!("{label} (symmetry={symmetry} interned={interned} x{shards})");
-                    assert_eq!(base.len(), g.len(), "{label}: node count");
-                    for i in 0..base.len() {
-                        assert_eq!(base.config(i), g.config(i), "{label}: node {i}");
-                        assert_eq!(base.edges(i), g.edges(i), "{label}: edges of {i}");
-                    }
-                    assert_eq!(base.terminals(), g.terminals(), "{label}: terminals");
-                    assert_verdicts_agree(&base, &g, &label);
+            let opts = ExploreOptions::default().with_symmetry(symmetry);
+            let base = StateGraph::explore(&spec, &opts).expect("unsharded explore");
+            for shards in [2usize, 4] {
+                let g = StateGraph::explore(&spec, &opts.clone().with_shards(shards))
+                    .expect("sharded explore");
+                let label = format!("{label} (symmetry={symmetry} x{shards})");
+                assert_eq!(base.len(), g.len(), "{label}: node count");
+                for i in 0..base.len() {
+                    assert_eq!(base.config(i), g.config(i), "{label}: node {i}");
+                    assert_eq!(base.edges(i), g.edges(i), "{label}: edges of {i}");
                 }
+                assert_eq!(base.terminals(), g.terminals(), "{label}: terminals");
+                assert_verdicts_agree(&base, &g, &label);
             }
         }
     }

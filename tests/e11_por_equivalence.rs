@@ -20,6 +20,8 @@ use subconsensus_sim::{
     ObjectSpec, Pid, Protocol, SymmetryGroups, SystemBuilder, SystemSpec, Value,
 };
 
+mod reference;
+
 // Local copies of the bench fixtures (the root package does not depend on
 // the bench crate), mirroring `subconsensus_bench::{grouped_system,
 // grouped_system_sym, partition_system, partition_system_sym}`.
@@ -179,36 +181,37 @@ fn por_composes_with_the_symmetry_quotient() {
 }
 
 #[test]
-fn interned_reduction_identical_to_deep_reduction() {
+fn reduction_terminals_match_reference_explorer() {
     // The ample-set choice, sleep-set bookkeeping and wake-up revisits all
-    // run in id space under the hash-consed store; the reduced graph must
-    // nonetheless be node-for-node identical to the deep store's, under POR
-    // alone and composed with the symmetry quotient.
+    // run in id space on the engine's own rows; whatever they prune, the
+    // reduced graph must reach exactly the terminal configurations of the
+    // naive reference BFS over the full graph (its quotient, with
+    // symmetry), for every thread and shard count.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
+        ("e1 sym n3 p3", grouped_system_sym(3, 0, 3)),
         ("e4 partition p3", partition_system(3, 2, 1)),
         ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
+        ("e4 partition p6 j2", partition_system(6, 3, 2)),
     ] {
         for symmetry in [false, true] {
-            let opts = ExploreOptions::default()
-                .with_por(true)
-                .with_symmetry(symmetry);
-            let deep = StateGraph::explore(&spec, &opts.clone().with_interned(false))
-                .expect("deep explore");
-            let interned = StateGraph::explore(&spec, &opts).expect("interned explore");
-            let label = format!("{label} (por, symmetry={symmetry})");
-            assert_eq!(deep.len(), interned.len(), "{label}: node count");
-            for i in 0..deep.len() {
-                assert_eq!(deep.config(i), interned.config(i), "{label}: node {i}");
-                assert_eq!(deep.edges(i), interned.edges(i), "{label}: edges of {i}");
+            let r = reference::explore(&spec, symmetry, usize::MAX);
+            for threads in [1usize, 4] {
+                for shards in [1usize, 2, 4] {
+                    let opts = ExploreOptions::default()
+                        .with_por(true)
+                        .with_symmetry(symmetry)
+                        .with_threads(threads)
+                        .with_shards(shards);
+                    let g = StateGraph::explore(&spec, &opts).expect("explore");
+                    let label = format!(
+                        "{label} (por, symmetry={symmetry} x{threads} threads x{shards} shards)"
+                    );
+                    assert!(g.is_por_reduced(), "{label}: reduction flag");
+                    assert!(g.len() <= r.configs.len(), "{label}: POR must not grow");
+                    reference::assert_same_terminals(&g, &r, &label);
+                }
             }
-            assert_eq!(deep.terminals(), interned.terminals(), "{label}: terminals");
-            assert_eq!(
-                deep.is_por_reduced(),
-                interned.is_por_reduced(),
-                "{label}: reduction flag"
-            );
-            assert_verdicts_agree(&deep, &interned, &label);
         }
     }
 }
@@ -219,37 +222,33 @@ fn sharded_reduction_identical_across_shard_counts() {
     // wake-ups, cycle-proviso escalations — replay in the sharded
     // explorer's sequential feedback phase in global tag order, so the
     // reduced graph is node-for-node identical for every shard count,
-    // alone and composed with the symmetry quotient and either store.
+    // alone and composed with the symmetry quotient.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e4 partition p3", partition_system(3, 2, 1)),
         ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
     ] {
         for symmetry in [false, true] {
-            for interned in [false, true] {
-                let opts = ExploreOptions::default()
-                    .with_por(true)
-                    .with_symmetry(symmetry)
-                    .with_interned(interned);
-                let base = StateGraph::explore(&spec, &opts).expect("unsharded explore");
-                for shards in [2usize, 4] {
-                    let g = StateGraph::explore(&spec, &opts.clone().with_shards(shards))
-                        .expect("sharded explore");
-                    let label =
-                        format!("{label} (por, symmetry={symmetry} interned={interned} x{shards})");
-                    assert_eq!(base.len(), g.len(), "{label}: node count");
-                    for i in 0..base.len() {
-                        assert_eq!(base.config(i), g.config(i), "{label}: node {i}");
-                        assert_eq!(base.edges(i), g.edges(i), "{label}: edges of {i}");
-                    }
-                    assert_eq!(base.terminals(), g.terminals(), "{label}: terminals");
-                    assert_eq!(
-                        base.is_por_reduced(),
-                        g.is_por_reduced(),
-                        "{label}: reduction flag"
-                    );
-                    assert_verdicts_agree(&base, &g, &label);
+            let opts = ExploreOptions::default()
+                .with_por(true)
+                .with_symmetry(symmetry);
+            let base = StateGraph::explore(&spec, &opts).expect("unsharded explore");
+            for shards in [2usize, 4] {
+                let g = StateGraph::explore(&spec, &opts.clone().with_shards(shards))
+                    .expect("sharded explore");
+                let label = format!("{label} (por, symmetry={symmetry} x{shards})");
+                assert_eq!(base.len(), g.len(), "{label}: node count");
+                for i in 0..base.len() {
+                    assert_eq!(base.config(i), g.config(i), "{label}: node {i}");
+                    assert_eq!(base.edges(i), g.edges(i), "{label}: edges of {i}");
                 }
+                assert_eq!(base.terminals(), g.terminals(), "{label}: terminals");
+                assert_eq!(
+                    base.is_por_reduced(),
+                    g.is_por_reduced(),
+                    "{label}: reduction flag"
+                );
+                assert_verdicts_agree(&base, &g, &label);
             }
         }
     }

@@ -43,30 +43,26 @@ fn assert_identical(a: &StateGraph, b: &StateGraph, label: &str) {
 
 #[test]
 fn instrumented_graphs_identical_across_matrix() {
-    // Telemetry on (timers + per-level heartbeat) vs off, × interned ×
-    // symmetry × POR × threads: the recorder is write-only from the
-    // explorer's view, so every combination must reproduce the plain
-    // graph node-for-node.
+    // Telemetry on (timers + per-level heartbeat) vs off, × symmetry × POR
+    // × threads: the recorder is write-only from the explorer's view, so
+    // every combination must reproduce the plain graph node-for-node.
     let spec = grouped_system(2, 1, 3, true);
-    for interned in [true, false] {
-        for symmetry in [false, true] {
-            for por in [false, true] {
-                let base_opts = ExploreOptions::default()
-                    .with_interned(interned)
-                    .with_symmetry(symmetry)
-                    .with_por(por);
-                let plain = StateGraph::explore(&spec, &base_opts).unwrap();
-                for threads in [1usize, 4] {
-                    let opts = base_opts.clone().with_threads(threads).with_metrics(true);
-                    let rec = Recorder::new().with_timing().with_progress(1, |_| {});
-                    let instrumented = StateGraph::explore_with(&spec, &opts, &rec).unwrap();
-                    assert_identical(
-                        &plain,
-                        &instrumented,
-                        &format!("interned={interned} sym={symmetry} por={por} threads={threads}"),
-                    );
-                    assert!(instrumented.metrics().timed);
-                }
+    for symmetry in [false, true] {
+        for por in [false, true] {
+            let base_opts = ExploreOptions::default()
+                .with_symmetry(symmetry)
+                .with_por(por);
+            let plain = StateGraph::explore(&spec, &base_opts).unwrap();
+            for threads in [1usize, 4] {
+                let opts = base_opts.clone().with_threads(threads).with_metrics(true);
+                let rec = Recorder::new().with_timing().with_progress(1, |_| {});
+                let instrumented = StateGraph::explore_with(&spec, &opts, &rec).unwrap();
+                assert_identical(
+                    &plain,
+                    &instrumented,
+                    &format!("sym={symmetry} por={por} threads={threads}"),
+                );
+                assert!(instrumented.metrics().timed);
             }
         }
     }
@@ -76,8 +72,8 @@ fn instrumented_graphs_identical_across_matrix() {
 fn persistent_sinks_invisible_across_matrix() {
     // The persistent observability sinks — run ledger, status file, level
     // trace — must be as invisible as the in-memory recorder: with all
-    // three installed at once, every interned × symmetry × POR × shards ×
-    // store combination reproduces the plain graph node-for-node, and every
+    // three installed at once, every symmetry × POR × shards × store
+    // combination reproduces the plain graph node-for-node, and every
     // artifact the run leaves behind parses with the in-tree JSON parser.
     let dir = std::env::temp_dir().join(format!("e12_sinks_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -85,58 +81,48 @@ fn persistent_sinks_invisible_across_matrix() {
     let status = dir.join("status.json");
     let spec = grouped_system(2, 1, 3, true);
     let mut runs = 0usize;
-    for interned in [true, false] {
-        for symmetry in [false, true] {
-            for por in [false, true] {
-                for (shards, store) in [
-                    (1usize, StoreBackend::Memory),
-                    (2, StoreBackend::Memory),
-                    (2, StoreBackend::Disk),
-                ] {
-                    // The disk store requires the interned representation.
-                    if store == StoreBackend::Disk && !interned {
-                        continue;
-                    }
-                    let label = format!(
-                        "interned={interned} sym={symmetry} por={por} \
-                         shards={shards} store={store:?}"
-                    );
-                    let base_opts = ExploreOptions::default()
-                        .with_interned(interned)
-                        .with_symmetry(symmetry)
-                        .with_por(por);
-                    let plain = StateGraph::explore(&spec, &base_opts).unwrap();
-                    let mut opts = base_opts.with_shards(shards).with_metrics(true);
-                    if store == StoreBackend::Disk {
-                        opts = opts
-                            .with_store(StoreBackend::Disk)
-                            .with_store_budget(4 << 10);
-                    }
-                    let trace = dir.join(format!("trace_{runs}.jsonl"));
-                    let rec = Recorder::new()
-                        .with_trace(&trace)
-                        .expect("create trace file")
-                        .with_run_log(&ledger)
-                        .with_status_file(&status);
-                    let g = StateGraph::explore_with(&spec, &opts, &rec).unwrap();
-                    assert_identical(&plain, &g, &label);
-                    runs += 1;
+    for symmetry in [false, true] {
+        for por in [false, true] {
+            for (shards, store) in [
+                (1usize, StoreBackend::Memory),
+                (2, StoreBackend::Memory),
+                (2, StoreBackend::Disk),
+            ] {
+                let label = format!("sym={symmetry} por={por} shards={shards} store={store:?}");
+                let base_opts = ExploreOptions::default()
+                    .with_symmetry(symmetry)
+                    .with_por(por);
+                let plain = StateGraph::explore(&spec, &base_opts).unwrap();
+                let mut opts = base_opts.with_shards(shards).with_metrics(true);
+                if store == StoreBackend::Disk {
+                    opts = opts
+                        .with_store(StoreBackend::Disk)
+                        .with_store_budget(4 << 10);
+                }
+                let trace = dir.join(format!("trace_{runs}.jsonl"));
+                let rec = Recorder::new()
+                    .with_trace(&trace)
+                    .expect("create trace file")
+                    .with_run_log(&ledger)
+                    .with_status_file(&status);
+                let g = StateGraph::explore_with(&spec, &opts, &rec).unwrap();
+                assert_identical(&plain, &g, &label);
+                runs += 1;
 
-                    // The status snapshot left behind is the final "done"
-                    // state of *this* run.
-                    let sv = JsonValue::parse(&std::fs::read_to_string(&status).unwrap())
-                        .unwrap_or_else(|e| panic!("{label}: status: {e}"));
-                    assert_eq!(sv.get("state").and_then(JsonValue::as_str), Some("done"));
-                    assert_eq!(
-                        sv.get("explored").and_then(JsonValue::as_u64),
-                        Some(g.len() as u64),
-                        "{label}: status explored"
-                    );
+                // The status snapshot left behind is the final "done"
+                // state of *this* run.
+                let sv = JsonValue::parse(&std::fs::read_to_string(&status).unwrap())
+                    .unwrap_or_else(|e| panic!("{label}: status: {e}"));
+                assert_eq!(sv.get("state").and_then(JsonValue::as_str), Some("done"));
+                assert_eq!(
+                    sv.get("explored").and_then(JsonValue::as_u64),
+                    Some(g.len() as u64),
+                    "{label}: status explored"
+                );
 
-                    // Every trace line parses.
-                    for line in std::fs::read_to_string(&trace).unwrap().lines() {
-                        JsonValue::parse(line).unwrap_or_else(|e| panic!("{label}: trace: {e}"));
-                    }
+                // Every trace line parses.
+                for line in std::fs::read_to_string(&trace).unwrap().lines() {
+                    JsonValue::parse(line).unwrap_or_else(|e| panic!("{label}: trace: {e}"));
                 }
             }
         }

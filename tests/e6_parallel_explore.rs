@@ -1,6 +1,7 @@
 //! E6 (parallel exploration): the level-synchronized parallel BFS must
 //! produce a graph node-for-node identical to the sequential one, on the
-//! real E1 fixtures (grouped-family systems), for every thread count.
+//! real E1 fixtures (grouped-family systems), for every thread count —
+//! and both must match the naive reference explorer in `tests/reference`.
 
 use std::sync::Arc;
 
@@ -10,6 +11,8 @@ use subconsensus_modelcheck::{
 };
 use subconsensus_protocols::ProposeDecide;
 use subconsensus_sim::{Protocol, SystemBuilder, SystemSpec, Value};
+
+mod reference;
 
 /// `procs` processes proposing distinct values through one
 /// `GroupedObject::for_level(n, k)` — the E1 benchmark fixture.
@@ -46,37 +49,34 @@ fn parallel_graph_identical_on_grouped_fixtures() {
 }
 
 #[test]
-fn interned_store_matches_deep_store_across_thread_counts() {
-    // The hash-consed (default) node store must reproduce the deep-`Config`
-    // store bit-for-bit — same nodes in the same order, same edges, same
-    // terminals — for every thread count, while holding strictly less memory
-    // once sharing has anything to share. (`approx_bytes` honestly counts
-    // the interner's tables and unique states, so on graphs of a dozen
-    // nodes that fixed overhead dominates; the byte win is asserted on the
-    // larger fixtures, where it is structural, not incidental.)
+fn graph_matches_reference_explorer_across_threads_and_shards() {
+    // The explorer must reproduce the naive `HashMap<Config, usize>`
+    // reference BFS node for node — configurations, edges, terminals,
+    // truncation — for every thread and shard count, with symmetry
+    // requested or not, and under a truncating configuration bound.
     for (n, k, procs) in [(2, 0, 2), (2, 1, 3), (3, 0, 3)] {
         let spec = grouped_system(n, k, procs);
-        let deep = StateGraph::explore(&spec, &ExploreOptions::default().with_interned(false))
-            .expect("deep explore");
-        assert!(
-            deep.interner_stats().is_none(),
-            "deep store reports no interner"
-        );
-        for threads in [1usize, 2, 4] {
-            let opts = ExploreOptions::default().with_threads(threads);
-            let g = StateGraph::explore(&spec, &opts).expect("interned explore");
-            assert_identical(&deep, &g, &format!("({n},{k},{procs}) interned x{threads}"));
-            let stats = g
-                .interner_stats()
-                .expect("interned store exposes arena stats");
-            assert!(stats.object_states <= g.len());
-            if g.len() >= 50 {
-                assert!(
-                    g.approx_bytes() < deep.approx_bytes(),
-                    "({n},{k},{procs}) x{threads}: interned {} bytes vs deep {} bytes",
-                    g.approx_bytes(),
-                    deep.approx_bytes()
-                );
+        let full = reference::explore(&spec, false, usize::MAX).configs.len();
+        for max_configs in [usize::MAX, full / 2] {
+            for symmetry in [false, true] {
+                let r = reference::explore(&spec, symmetry, max_configs);
+                assert_eq!(r.truncated, max_configs < full);
+                for threads in [1usize, 4] {
+                    for shards in [1usize, 2, 4] {
+                        let opts = ExploreOptions::with_max_configs(max_configs)
+                            .with_symmetry(symmetry)
+                            .with_threads(threads)
+                            .with_shards(shards);
+                        let g = StateGraph::explore(&spec, &opts).expect("explore");
+                        let label = format!(
+                            "({n},{k},{procs}) cap={max_configs} sym={symmetry} \
+                             x{threads} threads x{shards} shards"
+                        );
+                        reference::assert_matches(&g, &r, &label);
+                        let stats = g.interner_stats().expect("full graphs keep their arena");
+                        assert!(stats.object_states <= g.len(), "{label}");
+                    }
+                }
             }
         }
     }
@@ -86,28 +86,21 @@ fn interned_store_matches_deep_store_across_thread_counts() {
 fn sharded_graph_identical_on_grouped_fixtures() {
     // The fingerprint-partitioned explorer must reproduce the single-store
     // graph exactly — for every shard count, crossed with thread counts
-    // (which shape only the unsharded baseline) and both node stores.
+    // (which shape only the unsharded baseline).
     for (n, k, procs) in [(2, 0, 2), (2, 1, 3), (3, 0, 3)] {
         let spec = grouped_system(n, k, procs);
-        for interned in [false, true] {
-            let base =
-                StateGraph::explore(&spec, &ExploreOptions::default().with_interned(interned))
-                    .unwrap();
-            for shards in [2usize, 4] {
-                for threads in [1usize, 4] {
-                    let opts = ExploreOptions::default()
-                        .with_interned(interned)
-                        .with_shards(shards)
-                        .with_threads(threads);
-                    let g = StateGraph::explore(&spec, &opts).unwrap();
-                    assert_identical(
-                        &base,
-                        &g,
-                        &format!(
-                            "({n},{k},{procs}) interned={interned} x{shards} shards x{threads} threads"
-                        ),
-                    );
-                }
+        let base = StateGraph::explore(&spec, &ExploreOptions::default()).unwrap();
+        for shards in [2usize, 4] {
+            for threads in [1usize, 4] {
+                let opts = ExploreOptions::default()
+                    .with_shards(shards)
+                    .with_threads(threads);
+                let g = StateGraph::explore(&spec, &opts).unwrap();
+                assert_identical(
+                    &base,
+                    &g,
+                    &format!("({n},{k},{procs}) x{shards} shards x{threads} threads"),
+                );
             }
         }
     }
