@@ -1,21 +1,17 @@
 //! Experiment E9: model-checker exploration throughput.
 //!
 //! Times `StateGraph::explore` on the E1 (grouped family) and E4
-//! (partitioned agreement) fixtures across thread counts *and shard
-//! counts* (the Stern–Dill fingerprint-partitioned explorer,
-//! `ExploreOptions::shards`) with symmetry reduction and partial-order
-//! reduction on/off, and writes a machine-readable
-//! `BENCH_modelcheck.json` at the repo root with configs/sec, peak
-//! configuration counts, per-config memory, the reduction ratios and a
-//! per-phase wall-time breakdown (`phases`, from an instrumented
-//! post-warm-up exploration run per row with that row's exact thread and
-//! shard options — see [`subconsensus_sim::ExploreMetrics`]), so perf
+//! (partitioned agreement) fixtures across thread counts with symmetry
+//! reduction and partial-order reduction on/off, and writes a
+//! machine-readable `BENCH_modelcheck.json` at the repo root with
+//! configs/sec, peak configuration counts, per-config memory, the
+//! reduction ratios and a per-phase wall-time breakdown (`phases`, from an
+//! instrumented post-warm-up exploration run per row with that row's exact
+//! thread count — see [`subconsensus_sim::ExploreMetrics`]), so perf
 //! regressions are diffable across commits *and* attributable to a
-//! phase. The sharded rows are where `dedup_ns`/`merge_ns` shrink: the
-//! per-shard merge runs in parallel and only the tag-ordered feedback
-//! replay stays sequential. A `meta` block records the hardware thread
-//! count, git revision (plus a `dirty` flag when the worktree differs
-//! from it) and harness iteration budgets that produced the numbers.
+//! phase. A `meta` block records the hardware thread count, git revision
+//! (plus a `dirty` flag when the worktree differs from it) and harness
+//! iteration budgets that produced the numbers.
 //!
 //! Every (fixture, symmetry, por) combination also prints one `GUARD` line
 //! with its deterministic facts (`peak_configs`, `edges`, `truncated`,
@@ -44,9 +40,9 @@ use subconsensus_modelcheck::{
 use subconsensus_sim::{InternerStats, StoreMetrics, SystemSpec};
 
 const THREADS: [usize; 3] = [1, 2, 4];
-/// Shard counts benched at `threads = 1` (the sharded explorer runs one
-/// worker per shard; `threads` only shapes the unsharded rows).
-const SHARDS: [usize; 2] = [2, 4];
+/// Thread counts of the verdict-goal and disk-store rows: the first
+/// anchors the `VERDICT`/`SPILL` lines, the second is checked against it.
+const ANCHOR_THREADS: [usize; 2] = [1, 4];
 const SAMPLE_SIZE: usize = 10;
 /// `max_configs` bound of the verdict-goal gate fixtures: big enough that
 /// the sym-off full graphs are meaningful (the p10/p12 gates truncate at
@@ -283,10 +279,10 @@ fn main() {
 
     let mut c = Criterion::new();
     // Row metadata in the same order the harness records measurements:
-    // (fixture, threads, shards, symmetry, por, facts, full_configs if
+    // (fixture, threads, symmetry, por, facts, full_configs if
     // untruncated).
     #[allow(clippy::type_complexity)]
-    let mut rows: Vec<(&str, usize, usize, bool, bool, GraphFacts, Option<usize>)> = Vec::new();
+    let mut rows: Vec<(&str, usize, bool, bool, GraphFacts, Option<usize>)> = Vec::new();
     for fixture in &fixtures {
         let base = ExploreOptions::with_max_configs(fixture.max_configs);
         let full = facts(&fixture.spec, &base.clone());
@@ -296,18 +292,13 @@ fn main() {
         for symmetry in [false, true] {
             for por in [false, true] {
                 let opts_row = base.clone().with_symmetry(symmetry).with_por(por);
-                // Thread scaling at one shard, then shard scaling at one
-                // thread; (1, 1) leads so its facts anchor the GUARD line.
-                let grid = THREADS
-                    .iter()
-                    .map(|&t| (t, 1usize))
-                    .chain(SHARDS.iter().map(|&s| (1usize, s)));
+                // threads = 1 leads so its facts anchor the GUARD line.
                 let mut guard_facts: Option<GraphFacts> = None;
-                for (threads, shards) in grid {
-                    let opts = opts_row.clone().with_threads(threads).with_shards(shards);
+                for threads in THREADS {
+                    let opts = opts_row.clone().with_threads(threads);
                     // Per-row instrumented pass: phase breakdowns reflect
-                    // this row's exact thread/shard shape, not a shared
-                    // run's (threads=1/2/4 used to publish byte-identical
+                    // this row's exact thread count, not a shared run's
+                    // (threads=1/2/4 used to publish byte-identical
                     // `phases` objects).
                     let row_facts = facts(&fixture.spec, &opts);
                     match &guard_facts {
@@ -333,10 +324,10 @@ fn main() {
                             guard_facts = Some(row_facts.clone());
                         }
                         Some(first) => {
-                            // Thread- and shard-count independence checked
-                            // right here: every row of one (fixture,
-                            // symmetry, por) cell must produce the same
-                            // graph with the same footprint.
+                            // Thread-count independence checked right
+                            // here: every row of one (fixture, symmetry,
+                            // por) cell must produce the same graph with
+                            // the same footprint.
                             assert_eq!(
                                 (
                                     first.peak_configs,
@@ -350,22 +341,17 @@ fn main() {
                                     row_facts.truncated,
                                     row_facts.approx_bytes
                                 ),
-                                "{} sym={symmetry} por={por} t{threads} x{shards}: \
-                                 graph diverged from the t1 x1 row",
+                                "{} sym={symmetry} por={por} t{threads}: \
+                                 graph diverged from the t1 row",
                                 fixture.name
                             );
                         }
                     }
                     let label = format!(
-                        "{}{}{}{}",
+                        "{}{}{}",
                         fixture.name,
                         if symmetry { "/sym" } else { "" },
                         if por { "/por" } else { "" },
-                        if shards > 1 {
-                            format!("/shards{shards}")
-                        } else {
-                            String::new()
-                        }
                     );
                     g.bench_with_input(BenchmarkId::new(label, threads), &opts, |b, opts| {
                         b.iter(|| StateGraph::explore(&fixture.spec, opts).expect("explore"))
@@ -373,7 +359,6 @@ fn main() {
                     rows.push((
                         fixture.name,
                         threads,
-                        shards,
                         symmetry,
                         por,
                         row_facts,
@@ -391,9 +376,9 @@ fn main() {
     // few levels in, so the exploration must stop strictly before the
     // full graph is done, skip the freeze and reverse-CSR phases
     // entirely (asserted inside `verdict_facts`), and agree with the
-    // full-graph answer — all asserted here, and re-checked across shard
+    // full-graph answer — all asserted here, and re-checked across thread
     // counts. One `VERDICT` line per (fixture, symmetry, por) carries
-    // the deterministic facts for `scripts/bench_guard.sh` gate 3.
+    // the deterministic facts for `scripts/bench_guard.sh` gate 2.
     // ------------------------------------------------------------------
     let verdict_fixtures = [
         ("e9_gate_grouped_p10_sym", grouped_gate_sym(2, 1, 10)),
@@ -410,7 +395,7 @@ fn main() {
                     let base = ExploreOptions::with_max_configs(VERDICT_CAP)
                         .with_symmetry(symmetry)
                         .with_por(por);
-                    // Full-graph baseline at (threads 1, shards 1): the
+                    // Full-graph baseline at threads = 1: the
                     // refutation must be visible in the expanded graph
                     // too (on the truncated sym-off rows the spin cycle
                     // still sits in the explored prefix, so the check is
@@ -422,10 +407,10 @@ fn main() {
                         "{name} sym={symmetry} por={por}: full graph misses the refutation"
                     );
                     let mut anchor: Option<VerdictFacts> = None;
-                    for shards in [1usize, 4] {
+                    for threads in ANCHOR_THREADS {
                         let opts =
                             base.clone()
-                                .with_shards(shards)
+                                .with_threads(threads)
                                 .with_goal(ExploreGoal::Verdict(
                                     VerdictQuery::new().require_wait_freedom(),
                                 ));
@@ -433,12 +418,12 @@ fn main() {
                         assert_eq!(
                             vf.holds,
                             Some(false),
-                            "{name} sym={symmetry} por={por} x{shards}: \
+                            "{name} sym={symmetry} por={por} t{threads}: \
                              verdict disagrees with the full-graph refutation"
                         );
                         assert!(
                             vf.configs < full_peak,
-                            "{name} sym={symmetry} por={por} x{shards}: verdict explored \
+                            "{name} sym={symmetry} por={por} t{threads}: verdict explored \
                              {} configs, full graph {full_peak} — no early exit",
                             vf.configs
                         );
@@ -458,7 +443,7 @@ fn main() {
                             }
                             Some(first) => assert_eq!(
                                 // `phases` carries wall-clock numbers; every
-                                // other field must be shard-count invariant.
+                                // other field must be thread-count invariant.
                                 (
                                     first.configs,
                                     first.edges,
@@ -468,7 +453,7 @@ fn main() {
                                 ),
                                 (vf.configs, vf.edges, vf.truncated, vf.holds, &vf.cause),
                                 "{name} sym={symmetry} por={por}: verdict facts \
-                                 diverged between shard counts"
+                                 diverged between thread counts"
                             ),
                         }
                         let label = format!(
@@ -476,10 +461,10 @@ fn main() {
                             if symmetry { "/sym" } else { "" },
                             if por { "/por" } else { "" },
                         );
-                        g.bench_with_input(BenchmarkId::new(label, shards), &opts, |b, opts| {
+                        g.bench_with_input(BenchmarkId::new(label, threads), &opts, |b, opts| {
                             b.iter(|| StateGraph::explore(spec, opts).expect("explore"))
                         });
-                        vrows.push((name, shards, symmetry, por, vf, full_peak));
+                        vrows.push((name, threads, symmetry, por, vf, full_peak));
                     }
                 }
             }
@@ -493,7 +478,7 @@ fn main() {
     // every row actually spills (asserted). The graph facts — including
     // `approx_bytes`, after the freeze-time unspill — must be identical
     // to an explicit in-memory run; one `SPILL` line per fixture feeds
-    // `scripts/bench_guard.sh` gate 4.
+    // `scripts/bench_guard.sh` gate 3.
     // ------------------------------------------------------------------
     let disk_budget: usize = 2 << 10;
     let disk_fixtures = [
@@ -521,14 +506,14 @@ fn main() {
             let base = ExploreOptions::with_max_configs(*cap)
                 .with_symmetry(*symmetry)
                 .with_por(*por);
-            // Explicitly memory-backed baseline: gate 4 re-runs this bench
+            // Explicitly memory-backed baseline: gate 3 re-runs this bench
             // with MC_STORE=disk in the environment, and the comparison
             // must stay disk-vs-memory there too.
             let mem = facts(spec, &base.clone().with_store(StoreBackend::Memory));
-            for shards in [1usize, 4] {
+            for threads in ANCHOR_THREADS {
                 let opts = base
                     .clone()
-                    .with_shards(shards)
+                    .with_threads(threads)
                     .with_store(StoreBackend::Disk)
                     .with_store_budget(disk_budget);
                 let row_facts = facts(spec, &opts);
@@ -540,15 +525,15 @@ fn main() {
                         row_facts.truncated,
                         row_facts.approx_bytes
                     ),
-                    "{name} sym={symmetry} por={por} x{shards}: \
+                    "{name} sym={symmetry} por={por} t{threads}: \
                      disk-store graph diverged from the in-memory one"
                 );
                 let sm = row_facts.store.expect("disk rows report store metrics");
                 assert!(
                     sm.spilled_bytes > 0,
-                    "{name} x{shards}: a {disk_budget} B hot tier must force spill"
+                    "{name} t{threads}: a {disk_budget} B hot tier must force spill"
                 );
-                if shards == 1 {
+                if threads == 1 {
                     println!(
                         "SPILL {name} {symmetry} {por} {} {} {}",
                         sm.spilled_bytes, sm.reload_count, sm.index_reads
@@ -559,10 +544,10 @@ fn main() {
                     if *symmetry { "/sym" } else { "" },
                     if *por { "/por" } else { "" },
                 );
-                g.bench_with_input(BenchmarkId::new(label, shards), &opts, |b, opts| {
+                g.bench_with_input(BenchmarkId::new(label, threads), &opts, |b, opts| {
                     b.iter(|| StateGraph::explore(spec, opts).expect("explore"))
                 });
-                drows.push((name, shards, *symmetry, *por, row_facts, sm));
+                drows.push((name, threads, *symmetry, *por, row_facts, sm));
             }
         }
         g.finish();
@@ -574,8 +559,7 @@ fn main() {
     let (full_meas, rest_meas) = meas.split_at(rows.len());
     let (verdict_meas, disk_meas) = rest_meas.split_at(vrows.len());
     let mut kernels = String::new();
-    for (m, (name, threads, shards, symmetry, por, facts_row, full_configs)) in
-        full_meas.iter().zip(&rows)
+    for (m, (name, threads, symmetry, por, facts_row, full_configs)) in full_meas.iter().zip(&rows)
     {
         let secs = m.median_ns / 1e9;
         let configs_per_sec = if secs > 0.0 {
@@ -604,7 +588,6 @@ fn main() {
         let phases = &facts_row.phases;
         kernels.push_str(&format!(
             "    {{\"fixture\": \"{name}\", \"threads\": {threads}, \
-             \"shards\": {shards}, \
              \"symmetry\": {symmetry}, \"por\": {por}, \"peak_configs\": {}, \
              \"edges\": {}, \"truncated\": {}, \"approx_bytes_per_config\": \
              {bytes_per_config}, \"interner\": {interner}, \
@@ -624,7 +607,7 @@ fn main() {
     // Verdict-goal rows. `"goal"` sits right after `"fixture"` so the
     // per-fixture greps in scripts/bench_guard.sh (which anchor on
     // `"fixture": ..., "threads":`) can never match a verdict row.
-    for (m, (name, shards, symmetry, por, vf, full_peak)) in verdict_meas.iter().zip(&vrows) {
+    for (m, (name, threads, symmetry, por, vf, full_peak)) in verdict_meas.iter().zip(&vrows) {
         let secs = m.median_ns / 1e9;
         let configs_per_sec = if secs > 0.0 {
             vf.configs as f64 / secs
@@ -638,7 +621,7 @@ fn main() {
         kernels.push_str(",\n");
         kernels.push_str(&format!(
             "    {{\"fixture\": \"{name}\", \"goal\": \"verdict\", \
-             \"threads\": 1, \"shards\": {shards}, \
+             \"threads\": {threads}, \
              \"symmetry\": {symmetry}, \"por\": {por}, \"peak_configs\": {}, \
              \"edges\": {}, \"truncated\": {}, \"holds\": {holds}, \
              \"cause\": \"{}\", \"full_peak_configs\": {full_peak}, \
@@ -659,7 +642,7 @@ fn main() {
     // Disk-store rows. `"store"` sits right after `"fixture"` for the same
     // reason `"goal"` does on the verdict rows: the per-fixture greps in
     // scripts/bench_guard.sh must never match one.
-    for (m, (name, shards, symmetry, por, facts_row, sm)) in disk_meas.iter().zip(&drows) {
+    for (m, (name, threads, symmetry, por, facts_row, sm)) in disk_meas.iter().zip(&drows) {
         let secs = m.median_ns / 1e9;
         let configs_per_sec = if secs > 0.0 {
             facts_row.peak_configs as f64 / secs
@@ -669,8 +652,7 @@ fn main() {
         kernels.push_str(",\n");
         kernels.push_str(&format!(
             "    {{\"fixture\": \"{name}\", \"store\": \"disk\", \
-             \"store_budget\": {disk_budget}, \"threads\": 1, \
-             \"shards\": {shards}, \
+             \"store_budget\": {disk_budget}, \"threads\": {threads}, \
              \"symmetry\": {symmetry}, \"por\": {por}, \"peak_configs\": {}, \
              \"edges\": {}, \"truncated\": {}, \"approx_bytes_per_config\": {}, \
              \"spill\": {}, \"phases\": {}, \

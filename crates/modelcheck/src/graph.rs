@@ -15,12 +15,11 @@
 //! canonicalization and the POR footprints all work on id rows; a deep
 //! [`Config`] is materialized only when a caller asks for one.
 //!
-//! Two drivers share that one node store, one POR planner and one BFS
-//! bookkeeping: the unsharded explorer (threads split a level's
-//! expansion, one sequential merge) and the sharded one (see the
-//! sharded-exploration section of the module source). An independent
-//! `HashMap<Config, usize>` reference explorer under `tests/` checks the
-//! graphs they produce node for node.
+//! There is one driver, `explore_core`: [`ExploreOptions::threads`]
+//! workers split a level's expansion, deduplicating against a read-only
+//! snapshot of the store, and one sequential merge decides every node id.
+//! An independent `HashMap<Config, usize>` reference explorer under
+//! `tests/` checks the graphs it produces node for node.
 //!
 //! # Partial-order reduction
 //!
@@ -51,13 +50,12 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use subconsensus_sim::{
-    git_revision, shard_of_fingerprint, unix_time_ms, warn_once, Config, ExploreMetrics,
-    InternerStats, PendingConfig, Pid, ProcStatus, Recorder, RunRecord, SimError, StateInterner,
-    StepFootprint, SystemSpec, TruncationCause, Value, WireConfig, ARENA_SEGMENT,
+    git_revision, unix_time_ms, warn_once, Config, ExploreMetrics, InternerStats, PendingConfig,
+    Pid, ProcStatus, Recorder, RunRecord, SimError, StateInterner, StepFootprint, SystemSpec,
+    TruncationCause, Value, ARENA_SEGMENT,
 };
 
 use crate::spill::{Spill, DEFAULT_DISK_BUDGET};
@@ -93,17 +91,6 @@ pub struct ExploreOptions {
     /// flag (the recorder is write-only from the explorer's view). The
     /// `MC_PROGRESS` / `MC_TRACE` env vars also force timing on.
     pub metrics: bool,
-    /// Shard the exploration Stern–Dill style: the visited set, interner
-    /// arena and frontier are partitioned into this many shards by the
-    /// *content* fingerprint of each (canonicalized) configuration, so
-    /// dedup and merge run per-shard instead of through one sequential
-    /// merge. `0` (the default) reads the `MC_SHARDS` env var, falling
-    /// back to `1`; `1` is the classic single-store explorer. The
-    /// produced graph is node-for-node identical for every value (see
-    /// the sharded-exploration section of the module source). With
-    /// `shards > 1` the per-level parallelism is one worker per shard;
-    /// `threads` only shapes the unsharded explorer.
-    pub shards: usize,
     /// What this exploration is for. The default,
     /// [`ExploreGoal::FullGraph`], builds and freezes the whole reachable
     /// graph. [`ExploreGoal::Verdict`] instead accumulates the queried
@@ -113,7 +100,7 @@ pub struct ExploreOptions {
     /// [`StreamingVerdict`] (see [`StateGraph::verdict`]) but no CSR.
     /// Early exit is at level granularity and the verdict fold is
     /// commutative, so verdicts and explored-config counts stay
-    /// deterministic across threads × shards × symmetry × POR × store.
+    /// deterministic across threads × symmetry × POR × store.
     pub goal: ExploreGoal,
     /// Where the visited set lives: in RAM (the default) or disk-backed
     /// with a bounded hot tier ([`StoreBackend::Disk`]), which spills
@@ -142,7 +129,6 @@ impl Default for ExploreOptions {
             symmetry: false,
             por: false,
             metrics: false,
-            shards: 0,
             goal: ExploreGoal::FullGraph,
             store: StoreBackend::Auto,
             store_budget_bytes: None,
@@ -183,13 +169,6 @@ impl ExploreOptions {
         self
     }
 
-    /// Returns these options with the given shard count (`0` = read
-    /// `MC_SHARDS`, `1` = unsharded).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Returns these options with the given [`ExploreGoal`].
     pub fn with_goal(mut self, goal: ExploreGoal) -> Self {
         self.goal = goal;
@@ -206,19 +185,6 @@ impl ExploreOptions {
     pub fn with_store_budget(mut self, bytes: usize) -> Self {
         self.store_budget_bytes = Some(bytes);
         self
-    }
-
-    /// The shard count this exploration will actually run with: an
-    /// explicit [`shards`](Self::shards) wins, `0` defers to the
-    /// `MC_SHARDS` env var (default `1`), and the result is clamped to
-    /// `1..=MAX_SHARDS`.
-    fn effective_shards(&self) -> usize {
-        let n = if self.shards == 0 {
-            env_value("MC_SHARDS", parse_usize).unwrap_or(1)
-        } else {
-            self.shards
-        };
-        n.clamp(1, MAX_SHARDS)
     }
 
     /// The store backend this exploration will actually run with: an
@@ -244,7 +210,7 @@ impl ExploreOptions {
     }
 
     /// The options as one JSON object with every env-deferred field
-    /// *resolved* (`shards`, `store`, `store_budget_bytes` record what the
+    /// *resolved* (`store` and `store_budget_bytes` record what the
     /// exploration actually ran with, not the `0`/`Auto`/`None`
     /// placeholders) — the `options` payload of a run-ledger line.
     pub fn to_json(&self) -> String {
@@ -261,15 +227,10 @@ impl ExploreOptions {
             .map_or_else(|| "null".to_string(), |b| b.to_string());
         format!(
             "{{\"max_configs\": {}, \"threads\": {}, \"symmetry\": {}, \
-             \"por\": {}, \"metrics\": {}, \"shards\": {}, \
+             \"por\": {}, \"metrics\": {}, \
              \"goal\": \"{goal}\", \"store\": \"{store}\", \
              \"store_budget_bytes\": {budget}}}",
-            self.max_configs,
-            self.threads,
-            self.symmetry,
-            self.por,
-            self.metrics,
-            self.effective_shards()
+            self.max_configs, self.threads, self.symmetry, self.por, self.metrics
         )
     }
 }
@@ -337,12 +298,7 @@ pub enum StoreBackend {
     Disk,
 }
 
-/// Upper bound on the shard count: beyond this, per-shard tables are so
-/// sparse that routing overhead dominates, and the per-shard telemetry
-/// vectors stop being readable.
-const MAX_SHARDS: usize = 64;
-
-/// Content hash of a row of interner id words (the unsharded dedup key).
+/// Content hash of a row of interner id words (the dedup key).
 fn fingerprint_words(words: &[u32]) -> u64 {
     let mut h = DefaultHasher::new();
     words.hash(&mut h);
@@ -361,14 +317,12 @@ fn permute_mask(mask: u64, perm: &[usize]) -> u64 {
     out
 }
 
-/// The hot-tier budget of each of `stores` node stores when this
-/// exploration spills to disk (`None`: everything stays in memory). The
-/// budget bounds the whole exploration, so each shard gets an equal slice.
-fn spill_budget(opts: &ExploreOptions, stores: usize) -> Option<usize> {
+/// The hot-tier budget of the node store when this exploration spills to
+/// disk (`None`: everything stays in memory).
+fn spill_budget(opts: &ExploreOptions) -> Option<usize> {
     (opts.effective_store() == StoreBackend::Disk).then(|| {
         opts.effective_store_budget()
             .unwrap_or(DEFAULT_DISK_BUDGET)
-            .div_euclid(stores)
             .max(1)
     })
 }
@@ -377,17 +331,13 @@ fn spill_budget(opts: &ExploreOptions, stores: usize) -> Option<usize> {
 /// canonicalization applied (`None` when already canonical).
 type Successors = Vec<(PendingConfig, Option<Vec<usize>>)>;
 
-/// The node arena of an exploration, or of one shard of it: states live
-/// once in a [`StateInterner`], nodes are rows of `u32` id words in one
-/// flat array, and a fingerprint index finds a row by a word compare
-/// (sound because interning makes id equality equivalent to state
-/// equality, so fingerprint collisions never merge distinct
-/// configurations). Under [`StoreBackend::Disk`] a [`Spill`] keeps the
-/// hot tier within budget.
-///
-/// The caller picks the index key: the unsharded explorer files a row
-/// under the hash of its id words, a shard under the interner-independent
-/// content fingerprint that routed it there.
+/// The node arena of an exploration: states live once in a
+/// [`StateInterner`], nodes are rows of `u32` id words in one flat array,
+/// and a fingerprint index — keyed by [`fingerprint_words`] of the row —
+/// finds a row by a word compare (sound because interning makes id
+/// equality equivalent to state equality, so fingerprint collisions never
+/// merge distinct configurations). Under [`StoreBackend::Disk`] a
+/// [`Spill`] keeps the hot tier within budget.
 struct RowStore {
     interner: StateInterner,
     nobjects: usize,
@@ -425,11 +375,11 @@ impl RowStore {
         }
     }
 
-    /// Interns `init` as node 0, filed under `key(words)`.
-    fn seed(&mut self, init: &Config, key: impl FnOnce(&[u32]) -> u64) {
+    /// Interns `init` as node 0.
+    fn seed(&mut self, init: &Config) {
         debug_assert_eq!(self.len, 0);
         let compact = self.interner.intern_config(init);
-        self.push(compact.words(), key(compact.words()));
+        self.push(compact.words(), fingerprint_words(compact.words()));
     }
 
     /// Appends a row filed under `fp`.
@@ -580,6 +530,31 @@ impl RowStore {
         let mut cold = Vec::new();
         spill.as_ref()?.spilled_candidates(fp, &mut cold, rec);
         cold.into_iter().find(|&j| matches(j, spill))
+    }
+
+    /// Merge-side find-or-add of a worker-stepped successor, bounded by
+    /// `cap` nodes. The successor's fresh states are interned first; with
+    /// a spill, every cold hash-colliding candidate of them is restored
+    /// before — the merge is the authoritative dedup, so unlike a worker it
+    /// may not skip evicted state (the interner panics rather than break
+    /// the id ⇔ value bijection).
+    fn insert(&mut self, pending: PendingConfig, cap: usize, rec: &Recorder) -> MergeSlot {
+        if self.spill.is_some() {
+            let mut cold = Vec::new();
+            self.interner.cold_segments_for_pending(&pending, &mut cold);
+            self.restore_and_pin(&cold, rec);
+        }
+        let compact = self.interner.finalize(pending);
+        let words = compact.words();
+        let fp = fingerprint_words(words);
+        if let Some(j) = self.find(fp, words, rec) {
+            return MergeSlot::Known(j);
+        }
+        if self.len >= cap {
+            return MergeSlot::Capped;
+        }
+        self.push(words, fp);
+        MergeSlot::Added
     }
 
     /// Restores (if evicted) and level-pins complete arena segments; tail
@@ -763,7 +738,7 @@ impl RowStore {
         }
     }
 
-    /// The frozen node arena of an unsharded exploration.
+    /// The frozen node arena.
     fn into_nodes(mut self, rec: &Recorder) -> InternedNodes {
         self.unspill(rec);
         InternedNodes {
@@ -811,10 +786,22 @@ impl WorkItem {
     }
 }
 
-/// The expansion of one work item: one `T` per successor in stable
+/// A successor resolved by a level-expansion worker.
+enum StepResult {
+    /// The successor already had a node index before this level's merge.
+    Existing(usize),
+    /// A successor unseen at expansion time; the merge re-checks it
+    /// against nodes added earlier in the level before adding it.
+    Fresh(PendingConfig),
+}
+
+/// One expanded successor: stepping pid, dedup result, sleep mask.
+type Step = (Pid, StepResult, u64);
+
+/// The expansion of one work item: one [`Step`] per successor in stable
 /// (pid, outcome) order.
-struct Expansion<T> {
-    steps: Vec<T>,
+struct Expansion {
+    steps: Vec<Step>,
     /// The pids this item actually fired.
     fired: u64,
     /// Ample candidates suppressed by the sleep set (first visits only).
@@ -898,20 +885,17 @@ struct PorPlan<'a> {
 }
 
 impl<'a> PorPlan<'a> {
-    /// Plans `item`, whose node is row `row` of `store` with enabled set
-    /// `enabled`.
+    /// Plans `item`, whose node has enabled set `enabled` in `store`.
     fn new(
         store: &'a RowStore,
-        row: usize,
         enabled: u64,
         item: &WorkItem,
         x: ExpandCtx<'a>,
-        timers: &Recorder,
     ) -> Result<Self, SimError> {
         let mut plan = PorPlan {
             spec: x.spec,
             interner: &store.interner,
-            words: store.row(row),
+            words: store.row(item.node),
             por: x.opts.por,
             enabled,
             fire: enabled,
@@ -922,7 +906,7 @@ impl<'a> PorPlan<'a> {
         if !plan.por {
             return Ok(plan);
         }
-        let _t = timers.time_por();
+        let _t = x.rec.time_por();
         plan.fps = vec![None; plan.spec.nprocs()];
         let mut it = enabled;
         while it != 0 {
@@ -1011,28 +995,19 @@ struct ExpandCtx<'a> {
     spec: &'a SystemSpec,
     first_sleep: &'a [u64],
     opts: &'a ExploreOptions,
-    /// Shared counters + heartbeat sink (the exploration's recorder; a
-    /// shard's child recorder only collects phase timers).
-    main: &'a Recorder,
+    /// Shared counters, phase timers and heartbeat sink.
+    rec: &'a Recorder,
     lvl: LevelCtx,
 }
 
-/// Expands one work item against a read-only snapshot of `store`, where
-/// the item's node is row `row`: plans the fired pids, steps each one,
-/// and hands every successor with its sleep mask to `emit` (which dedups
-/// it against the snapshot, or routes it to its owning shard).
-fn expand_node<T>(
-    store: &RowStore,
-    row: usize,
-    item: &WorkItem,
-    x: ExpandCtx<'_>,
-    timers: &Recorder,
-    mut emit: impl FnMut(Pid, PendingConfig, u64) -> T,
-) -> Result<Expansion<T>, SimError> {
-    x.main.count_expansions(1);
-    x.main
-        .heartbeat(x.lvl.level, x.lvl.nodes, x.lvl.frontier, x.lvl.remaining);
-    let enabled = store.enabled_bits(row);
+/// Expands one work item against a read-only snapshot of `store`: plans
+/// the fired pids, steps each one, and resolves every successor against
+/// the snapshot.
+fn expand_node(store: &RowStore, item: &WorkItem, x: ExpandCtx<'_>) -> Result<Expansion, SimError> {
+    let rec = x.rec;
+    rec.count_expansions(1);
+    rec.heartbeat(x.lvl.level, x.lvl.nodes, x.lvl.frontier, x.lvl.remaining);
+    let enabled = store.enabled_bits(item.node);
     if enabled == 0 {
         return Ok(Expansion {
             steps: Vec::new(),
@@ -1041,7 +1016,7 @@ fn expand_node<T>(
             terminal: true,
         });
     }
-    let plan = PorPlan::new(store, row, enabled, item, x, timers)?;
+    let plan = PorPlan::new(store, enabled, item, x)?;
     let mut steps = Vec::new();
     let mut done = 0u64; // earlier siblings fired by this item
     let mut it = plan.fire;
@@ -1049,16 +1024,29 @@ fn expand_node<T>(
         let i = it.trailing_zeros() as usize;
         it &= it - 1;
         let pid = Pid::new(i);
-        for (next, perm) in store.successors(x.spec, row, pid, x.opts.symmetry, timers)? {
+        for (next, perm) in store.successors(x.spec, item.node, pid, x.opts.symmetry, rec)? {
             if perm.is_some() {
-                x.main.count_symmetry_hits(1);
+                rec.count_symmetry_hits(1);
             }
-            let sleep = plan.successor_sleep(i, done, perm.as_deref(), timers);
-            steps.push(emit(pid, next, sleep));
+            let sleep = plan.successor_sleep(i, done, perm.as_deref(), rec);
+            let step = {
+                let _t = rec.time_dedup();
+                // A successor carrying a genuinely fresh state cannot be in
+                // the snapshot, so it needs no lookup until the merge
+                // interns it.
+                let known = next
+                    .resolved_words()
+                    .and_then(|words| store.find_resident(fingerprint_words(words), words, rec));
+                match known {
+                    Some(j) => StepResult::Existing(j),
+                    None => StepResult::Fresh(next),
+                }
+            };
+            steps.push((pid, step, sleep));
         }
         done |= 1 << i;
     }
-    x.main.count_generated(steps.len() as u64);
+    rec.count_generated(steps.len() as u64);
     Ok(Expansion {
         steps,
         fired: plan.fire,
@@ -1080,18 +1068,18 @@ fn host_parallelism() -> usize {
 }
 
 /// Whether a level of `items` work items is split across `workers`
-/// threads — the one spawn rule of both drivers. A single-core host runs
-/// everything in-line: the graph is identical either way, spawning only
-/// costs, and a worker's wall-clock phase timers would otherwise absorb
-/// the time it spent descheduled behind its siblings.
+/// threads. A single-core host runs everything in-line: the graph is
+/// identical either way, spawning only costs, and a worker's wall-clock
+/// phase timers would otherwise absorb the time it spent descheduled
+/// behind its siblings.
 fn spawn_workers(workers: usize, items: usize) -> bool {
     workers > 1 && items >= PARALLEL_THRESHOLD && host_parallelism() > 1
 }
 
-/// Global per-node BFS bookkeeping, shared by both drivers: each driver
-/// replays its level's expansions into it in the same (frontier, step)
-/// order, so every decision — node numbering, edges, sleep sets, cycle
-/// proviso, revisit wake-ups, streaming verdict — is made once, here.
+/// Global per-node BFS bookkeeping: the merge replays a level's expansions
+/// into it in (frontier, step) order, so every decision — node numbering,
+/// edges, sleep sets, cycle proviso, revisit wake-ups, streaming verdict —
+/// is made once, here, independent of how the level was split.
 struct Bfs<'a> {
     opts: &'a ExploreOptions,
     rec: &'a Recorder,
@@ -1116,7 +1104,7 @@ struct Bfs<'a> {
     /// Streaming-verdict accumulator (verdict goal only). Fed in merge
     /// order; consulted once per level, after the revisits, so the exit
     /// point — and with it the explored-config count — is identical for
-    /// every thread count, shard count and store backend.
+    /// every thread count and store backend.
     engine: Option<VerdictEngine>,
     early_exit: bool,
     /// In-memory hot-tier budget: with an explicit budget but no spill to
@@ -1355,7 +1343,7 @@ impl<'a> Bfs<'a> {
         }
     }
 
-    /// Closes the level with the stores' `resident` bytes and returns the
+    /// Closes the level with the store's `resident` bytes and returns the
     /// next one (empty once the streaming verdict is refuted).
     fn end_level(&mut self, resident: usize) -> Vec<WorkItem> {
         self.rec.record_peak_bytes(resident);
@@ -1425,73 +1413,6 @@ impl<'a> Bfs<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Unsharded exploration
-// ---------------------------------------------------------------------------
-
-/// A successor resolved by a level-expansion worker.
-enum StepResult {
-    /// The successor already had a node index before this level's merge.
-    Existing(usize),
-    /// A successor unseen at expansion time; the merge re-checks it
-    /// against nodes added earlier in the level before adding it.
-    Fresh(PendingConfig),
-}
-
-/// One expanded successor of the unsharded explorer: stepping pid, dedup
-/// result, sleep mask.
-type Step = (Pid, StepResult, u64);
-
-impl RowStore {
-    /// Merge-side find-or-add of a worker-stepped successor, bounded by
-    /// `cap` nodes. The successor's fresh states are interned first; with
-    /// a spill, every cold hash-colliding candidate of them is restored
-    /// before — the merge is the authoritative dedup, so unlike a worker it
-    /// may not skip evicted state (the interner panics rather than break
-    /// the id ⇔ value bijection).
-    fn insert(&mut self, pending: PendingConfig, cap: usize, rec: &Recorder) -> MergeSlot {
-        if self.spill.is_some() {
-            let mut cold = Vec::new();
-            self.interner.cold_segments_for_pending(&pending, &mut cold);
-            self.restore_and_pin(&cold, rec);
-        }
-        let compact = self.interner.finalize(pending);
-        let words = compact.words();
-        let fp = fingerprint_words(words);
-        if let Some(j) = self.find(fp, words, rec) {
-            return MergeSlot::Known(j);
-        }
-        if self.len >= cap {
-            return MergeSlot::Capped;
-        }
-        self.push(words, fp);
-        MergeSlot::Added
-    }
-}
-
-/// Expands one unsharded work item, resolving each successor against the
-/// read-only store snapshot.
-fn expand_item(
-    store: &RowStore,
-    item: &WorkItem,
-    x: ExpandCtx<'_>,
-) -> Result<Expansion<Step>, SimError> {
-    let rec = x.main;
-    expand_node(store, item.node, item, x, rec, |pid, pending, sleep| {
-        let _t = rec.time_dedup();
-        // A successor carrying a genuinely fresh state cannot be in the
-        // snapshot, so it needs no lookup until the merge interns it.
-        let known = pending
-            .resolved_words()
-            .and_then(|words| store.find_resident(fingerprint_words(words), words, rec));
-        let step = match known {
-            Some(j) => StepResult::Existing(j),
-            None => StepResult::Fresh(pending),
-        };
-        (pid, step, sleep)
-    })
-}
-
 /// Expands one BFS level, splitting it across `opts.threads` workers.
 /// Results are returned in the same order as `level` regardless of the
 /// split.
@@ -1499,11 +1420,11 @@ fn expand_level(
     store: &RowStore,
     level: &[WorkItem],
     x: ExpandCtx<'_>,
-) -> Result<Vec<Expansion<Step>>, SimError> {
+) -> Result<Vec<Expansion>, SimError> {
     let expand_chunk = |items: &[WorkItem]| -> Result<Vec<_>, SimError> {
         items
             .iter()
-            .map(|item| expand_item(store, item, x))
+            .map(|item| expand_node(store, item, x))
             .collect()
     };
     let threads = x.opts.threads.clamp(1, level.len().max(1));
@@ -1528,20 +1449,20 @@ fn expand_level(
     Ok(out)
 }
 
-/// Runs the unsharded level-synchronized BFS from `init`: each level is
-/// expanded read-only (optionally across threads), then merged
-/// sequentially in frontier order. Returns the graph core and the store.
+/// Runs the level-synchronized BFS from `init`: each level is expanded
+/// read-only (optionally across threads), then merged sequentially in
+/// frontier order. Returns the graph core and the store.
 fn explore_core(
     spec: &SystemSpec,
     init: &Config,
     opts: &ExploreOptions,
     rec: &Recorder,
 ) -> Result<(GraphCore, RowStore), SimError> {
-    let mut store = RowStore::new(init, spill_budget(opts, 1));
+    let mut store = RowStore::new(init, spill_budget(opts));
     if store.spill.is_some() {
         rec.mark_store_active();
     }
-    store.seed(init, fingerprint_words);
+    store.seed(init);
     let mut bfs = Bfs::new(opts, rec);
     let mut level = vec![WorkItem::fresh(0)];
     let mut frontier_ids: Vec<usize> = Vec::new();
@@ -1559,7 +1480,7 @@ fn explore_core(
             spec,
             first_sleep: &bfs.first_sleep,
             opts,
-            main: rec,
+            rec,
             lvl,
         };
         let expansions = expand_level(&store, &level, x)?;
@@ -1669,503 +1590,6 @@ fn freeze_csr(n: usize, edge_buf: Vec<(u32, Edge)>, rec: &Recorder) -> (Vec<u32>
         *c += 1;
     }
     (row_ptr, edge_arr)
-}
-
-// ---------------------------------------------------------------------------
-// Sharded exploration (Stern–Dill fingerprint partitioning)
-// ---------------------------------------------------------------------------
-//
-// With [`ExploreOptions::shards`] > 1 the visited set, interner arena and
-// frontier are partitioned by the *content* fingerprint of each
-// (canonicalized) configuration — a fingerprint computed from the states
-// themselves, never from interner ids, so every occurrence of one
-// configuration routes to the same owning shard no matter which shard
-// produced it. Each BFS level then runs in five phases:
-//
-// 1. **Expand** (parallel, one worker per shard): each shard steps its own
-//    frontier items, canonicalizes the successors, and routes each into
-//    the owning shard's inbox tagged with a globally ordered production
-//    tag `(frontier item sequence, step index)`.
-// 2. **Merge** (parallel): each shard sorts its inbox by tag and
-//    find-or-inserts every carrier into its own dedup table — because all
-//    occurrences of a configuration share one owner, the shard alone
-//    decides which occurrence is globally first.
-// 3. **Assign** (sequential): the per-shard new-node tag lists are merged
-//    by tag; the first `max_configs − total` get dense global node ids in
-//    tag order — exactly the order the single-store merge would have
-//    inserted them — and the over-budget suffix of each shard's arena is
-//    popped back out.
-// 4. **Feedback** (sequential): the per-tag responses are replayed in tag
-//    order into the shared [`Bfs`] bookkeeping — edges, sleep sets, cycle
-//    proviso escalations, revisit wake-ups — exactly as the single-store
-//    merge loop feeds it.
-// 5. The next frontier is sequenced in the same order the single-store
-//    explorer would have enqueued it, and each item stays with its owning
-//    shard.
-//
-// Because symmetry canonicalization runs *before* fingerprinting and the
-// canonical form is content-addressed, an orbit never splits across
-// shards; POR decisions all happen in the sequential feedback phase
-// against global state. The produced graph — node numbering, edges,
-// terminals, truncation — is therefore identical for every shard count,
-// which `scripts/bench_guard.sh` gates by diffing `MC_SHARDS=1` vs
-// `MC_SHARDS=4` GUARD lines on every CI run.
-
-/// Globally unique, totally ordered production tag of one routed
-/// successor: `(frontier item sequence << 32) | step index`. Ordering by
-/// tag reproduces the exact insertion order of the single-store merge.
-type Tag = u64;
-
-fn tag(seq: u32, step: u32) -> Tag {
-    (u64::from(seq) << 32) | u64::from(step)
-}
-
-/// One routed successor: production tag, content fingerprint, carrier.
-type Routed = (Tag, u64, WireConfig);
-
-/// Routed successors are staged in small per-worker buffers and flushed
-/// into the owner's shared sink in chunks of at most this many entries,
-/// so per-worker staging memory stays bounded no matter how hot one
-/// shard runs (private per-worker outbox `Vec`s used to hold a whole
-/// level's traffic per worker before the gather).
-const OUTBOX_CHUNK: usize = 1024;
-
-/// One bounded-queue sink per owning shard, shared by every expansion
-/// worker. Workers append whole chunks under the lock (at most one
-/// acquisition per [`OUTBOX_CHUNK`] successors), and the merge phase
-/// sorts each inbox by production tag — so arrival order, and with it
-/// lock contention, cannot affect the produced graph.
-type OutboxSinks = Vec<Mutex<Vec<Routed>>>;
-
-/// Queue-pressure counters of one shard's expansion pass.
-#[derive(Clone, Copy, Default)]
-struct OutboxStats {
-    /// Successors this shard routed to owners (its own included).
-    sent: u64,
-    /// Chunk flushes into the shared sinks.
-    flushes: u64,
-}
-
-/// The expansion of one shard item, minus the successors themselves
-/// (those were routed to their owners): `(stepping pid, successor sleep
-/// mask)` per routed successor, in tag order.
-type ShardExpansion = Expansion<(Pid, u64)>;
-
-/// What one shard's expansion pass returns: `(seq, expansion)` per item
-/// plus queue-pressure stats (the successors themselves were already
-/// flushed into the shared [`OutboxSinks`]).
-type ExpandOut = Result<(Vec<(u32, ShardExpansion)>, OutboxStats), SimError>;
-
-/// What one shard's merge pass returns: `(tag, local index, inserted?)`
-/// per routed successor, plus the tags that inserted new nodes (in local
-/// index order).
-type MergeOut = (Vec<(Tag, u32, bool)>, Vec<Tag>);
-
-/// A frontier entry as handed to its owning shard: `seq` is the item's
-/// position in the globally ordered frontier (the high half of every
-/// production tag it emits), `local` its node's index in the shard.
-#[derive(Clone, Copy)]
-struct ShardItem {
-    seq: u32,
-    local: u32,
-    item: WorkItem,
-}
-
-impl RowStore {
-    /// Owner-side find-or-add of a successor routed here in wire form,
-    /// *unbounded*: the global configuration budget is settled afterwards
-    /// by the assign phase, which pops the over-budget suffix back out.
-    /// Adoption is the authoritative dedup, so with a spill every cold
-    /// hash-colliding candidate of the wire's states is restored first.
-    fn adopt(&mut self, wire: WireConfig, fp: u64, timers: &Recorder) -> (usize, bool) {
-        let _t = timers.time_intern();
-        if self.spill.is_some() {
-            let mut cold = Vec::new();
-            self.interner.cold_segments_for_wire(&wire, &mut cold);
-            self.restore_and_pin(&cold, timers);
-        }
-        let compact = self.interner.adopt(wire);
-        if let Some(j) = self.find(fp, compact.words(), timers) {
-            return (j, false);
-        }
-        self.push(compact.words(), fp);
-        (self.len - 1, true)
-    }
-
-    /// Undoes the most recent `n` adoptions (the over-budget suffix).
-    /// Popped nodes are always this level's, which postdate the last
-    /// `begin_level`: their rows are hot and their index entries are still
-    /// in the in-memory map, the last of their bucket. Adopted states stay
-    /// in the interner arena: popping them would invalidate ids already
-    /// handed out, and an over-budget configuration's states are usually
-    /// shared with kept ones.
-    fn pop_last(&mut self, n: usize) {
-        let hot_base = self.spill.as_ref().map_or(0, Spill::hot_base);
-        for _ in 0..n {
-            let l = self.len - 1;
-            debug_assert!(l >= hot_base, "popping a spilled node");
-            let fp = self
-                .interner
-                .content_fingerprint_words(self.nobjects, self.row(l));
-            let bucket = self.index.get_mut(&fp).expect("indexed fingerprint");
-            let popped = bucket.pop();
-            debug_assert_eq!(popped, Some(l));
-            if bucket.is_empty() {
-                self.index.remove(&fp);
-            }
-            self.index_ids -= 1;
-            self.len = l;
-            self.words.truncate((l - hot_base) * self.stride);
-        }
-    }
-}
-
-/// Expands one shard's slice of the frontier, routing every successor
-/// into its owner's shared bounded-queue sink.
-fn expand_shard(
-    store: &RowStore,
-    items: &[ShardItem],
-    sinks: &OutboxSinks,
-    timers: &Recorder,
-    x: ExpandCtx<'_>,
-) -> ExpandOut {
-    let nshards = sinks.len();
-    let mut exps = Vec::with_capacity(items.len());
-    let mut staged: Vec<Vec<Routed>> = (0..nshards).map(|_| Vec::new()).collect();
-    let mut stats = OutboxStats::default();
-    for si in items {
-        let mut step_idx = 0u32;
-        let exp = expand_node(
-            store,
-            si.local as usize,
-            &si.item,
-            x,
-            timers,
-            |pid, pending, sleep| {
-                let cfp = {
-                    let _t = timers.time_dedup();
-                    pending.content_fingerprint(&store.interner)
-                };
-                let owner = shard_of_fingerprint(cfp, nshards);
-                let buf = &mut staged[owner];
-                buf.push((tag(si.seq, step_idx), cfp, pending.export(&store.interner)));
-                stats.sent += 1;
-                if buf.len() >= OUTBOX_CHUNK {
-                    stats.flushes += 1;
-                    sinks[owner]
-                        .lock()
-                        .expect("outbox sink poisoned")
-                        .append(buf);
-                }
-                step_idx += 1;
-                (pid, sleep)
-            },
-        )?;
-        exps.push((si.seq, exp));
-    }
-    for (owner, buf) in staged.iter_mut().enumerate() {
-        if !buf.is_empty() {
-            stats.flushes += 1;
-            sinks[owner]
-                .lock()
-                .expect("outbox sink poisoned")
-                .append(buf);
-        }
-    }
-    Ok((exps, stats))
-}
-
-/// Merges one shard's inbox: sort by production tag (the global
-/// single-store insertion order), then find-or-add each carrier in the
-/// shard's own table. Because every occurrence of a configuration routes
-/// here, the first added occurrence is the *globally* first.
-fn merge_shard(store: &mut RowStore, mut inbox: Vec<Routed>, timers: &Recorder) -> MergeOut {
-    let _m = timers.time_merge();
-    inbox.sort_unstable_by_key(|r| r.0);
-    let mut responses = Vec::with_capacity(inbox.len());
-    let mut new_tags = Vec::new();
-    for (t, cfp, wire) in inbox {
-        let (local, is_new) = store.adopt(wire, cfp, timers);
-        responses.push((t, local as u32, is_new));
-        if is_new {
-            new_tags.push(t);
-        }
-    }
-    (responses, new_tags)
-}
-
-/// Global node id → `(owning shard, local index)`.
-type Home = Vec<(u32, u32)>;
-
-/// Runs the sharded level-synchronized BFS from `init` (see the section
-/// comment above). Returns the graph core, the shards, and the home
-/// directory mapping every global node id to `(shard, local)`.
-fn explore_sharded(
-    spec: &SystemSpec,
-    init: &Config,
-    nshards: usize,
-    opts: &ExploreOptions,
-    rec: &Recorder,
-) -> Result<(GraphCore, Vec<RowStore>, Home), SimError> {
-    // The root's owner is decided by its content fingerprint, which needs
-    // an interner; use a throwaway arena.
-    let fp = {
-        let mut scratch = StateInterner::new();
-        let cc = scratch.intern_config(init);
-        scratch.content_fingerprint_words(init.nobjects(), cc.words())
-    };
-    let owner = shard_of_fingerprint(fp, nshards);
-    let budget = spill_budget(opts, nshards);
-    let mut shards: Vec<RowStore> = (0..nshards).map(|_| RowStore::new(init, budget)).collect();
-    if budget.is_some() {
-        rec.mark_store_active();
-    }
-    shards[owner].seed(init, |_| fp);
-    let children: Vec<Recorder> = (0..nshards).map(|_| rec.shard_child()).collect();
-    let mut bfs = Bfs::new(opts, rec);
-    // Global node id → (owning shard, local index), and the inverse.
-    let mut home: Home = vec![(owner as u32, 0)];
-    let mut l2g: Vec<Vec<u32>> = vec![Vec::new(); nshards];
-    l2g[owner].push(0);
-
-    // Per-shard telemetry (graph shape + traffic).
-    let mut shard_edges = vec![0usize; nshards];
-    let mut traffic_sent = vec![0u64; nshards];
-    let mut traffic_recv = vec![0u64; nshards];
-    let mut max_outbox = vec![0usize; nshards];
-    let mut outbox_flushes = vec![0u64; nshards];
-
-    let mut frontier = vec![WorkItem::fresh(0)];
-    let mut local_ids: Vec<usize> = Vec::new();
-    while !frontier.is_empty() {
-        let lvl = bfs.begin_level(frontier.len());
-        // Partition the globally ordered frontier into per-shard queues.
-        let mut frontiers: Vec<Vec<ShardItem>> = vec![Vec::new(); nshards];
-        for (seq, &item) in frontier.iter().enumerate() {
-            let (s, local) = home[item.node];
-            frontiers[s as usize].push(ShardItem {
-                seq: seq as u32,
-                local,
-                item,
-            });
-        }
-        // Sequential level-boundary hook per shard (workers not yet
-        // spawned): a disk-backed shard spills/evicts here, pinning its
-        // slice of the frontier resident for the level.
-        for (store, items) in shards.iter_mut().zip(&frontiers) {
-            local_ids.clear();
-            local_ids.extend(items.iter().map(|it| it.local as usize));
-            store.begin_level(&local_ids, rec);
-        }
-        // With per-shard estimates summed each level, the budget decision
-        // depends on the shard count, so budget-truncated in-memory runs
-        // do not claim cross-shard graph identity; disk runs do — eviction
-        // never changes the graph.
-        let over_budget = bfs.over_budget(|| shards.iter().map(RowStore::resident_estimate).sum());
-        let x = ExpandCtx {
-            spec,
-            first_sleep: &bfs.first_sleep,
-            opts,
-            main: rec,
-            lvl,
-        };
-        let parallel = spawn_workers(nshards, frontier.len());
-
-        // Phase 1: expand, one worker per shard. Successors flow through
-        // shared per-owner bounded-queue sinks in fixed-size chunks, so
-        // no worker ever holds more than `nshards * OUTBOX_CHUNK` staged
-        // entries regardless of how hot a shard runs.
-        let sinks: OutboxSinks = (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
-        let mut expand_out: Vec<Option<ExpandOut>> = (0..nshards).map(|_| None).collect();
-        {
-            let sinks = &sinks;
-            let jobs = shards
-                .iter()
-                .zip(&frontiers)
-                .zip(&children)
-                .zip(expand_out.iter_mut());
-            if parallel {
-                std::thread::scope(|sc| {
-                    for (((store, items), child), out) in jobs {
-                        sc.spawn(move || *out = Some(expand_shard(store, items, sinks, child, x)));
-                    }
-                });
-            } else {
-                for (((store, items), child), out) in jobs {
-                    *out = Some(expand_shard(store, items, sinks, child, x));
-                }
-            }
-        }
-        let mut item_exps: Vec<Option<ShardExpansion>> = frontier.iter().map(|_| None).collect();
-        for (k, slot) in expand_out.into_iter().enumerate() {
-            let (exps, stats) = slot.expect("every shard expanded")?;
-            for (seq, e) in exps {
-                item_exps[seq as usize] = Some(e);
-            }
-            traffic_sent[k] += stats.sent;
-            outbox_flushes[k] += stats.flushes;
-        }
-        let inboxes: Vec<Vec<Routed>> = sinks
-            .into_iter()
-            .map(|m| m.into_inner().expect("outbox sink poisoned"))
-            .collect();
-        for (k, inbox) in inboxes.iter().enumerate() {
-            traffic_recv[k] += inbox.len() as u64;
-            max_outbox[k] = max_outbox[k].max(inbox.len());
-        }
-
-        // Phase 2: merge, one worker per shard, each against its own table.
-        let mut merge_out: Vec<Option<MergeOut>> = (0..nshards).map(|_| None).collect();
-        {
-            let jobs = shards
-                .iter_mut()
-                .zip(inboxes)
-                .zip(&children)
-                .zip(merge_out.iter_mut());
-            if parallel {
-                std::thread::scope(|sc| {
-                    for (((store, inbox), child), out) in jobs {
-                        sc.spawn(move || *out = Some(merge_shard(store, inbox, child)));
-                    }
-                });
-            } else {
-                for (((store, inbox), child), out) in jobs {
-                    *out = Some(merge_shard(store, inbox, child));
-                }
-            }
-        }
-        let mut responses: Vec<(Tag, u32, u32, bool)> = Vec::new();
-        let mut new_all: Vec<(Tag, u32)> = Vec::new();
-        let mut new_counts = vec![0usize; nshards];
-        for (k, slot) in merge_out.into_iter().enumerate() {
-            let (resp, new_tags) = slot.expect("every shard merged");
-            new_counts[k] = new_tags.len();
-            responses.extend(resp.into_iter().map(|(t, l, n)| (t, k as u32, l, n)));
-            new_all.extend(new_tags.into_iter().map(|t| (t, k as u32)));
-        }
-        responses.sort_unstable_by_key(|r| r.0);
-        new_all.sort_unstable();
-
-        // Phase 3: assign global ids to the budgeted prefix of the new
-        // nodes (in tag order — the single-store insertion order) and pop
-        // the over-budget suffix out of each shard. An over-memory-budget
-        // level keeps nothing, as in the unsharded merge.
-        let budget = if over_budget {
-            0
-        } else {
-            opts.max_configs.saturating_sub(bfs.len())
-        };
-        let kept = budget.min(new_all.len());
-        // keep_limit[k]: locals of shard k below this index survive.
-        let mut keep_limit: Vec<usize> = l2g.iter().map(Vec::len).collect();
-        for &(_, k) in &new_all[..kept] {
-            keep_limit[k as usize] += 1;
-        }
-        for (k, store) in shards.iter_mut().enumerate() {
-            let dropped = new_counts[k] - (keep_limit[k] - l2g[k].len());
-            if dropped > 0 {
-                store.pop_last(dropped);
-            }
-        }
-
-        // Phase 4: replay the responses in tag order into the shared
-        // bookkeeping — the unsharded merge loop's decision order.
-        let merge_t = rec.time_merge();
-        let mut cursor = 0usize;
-        for (seq, item) in frontier.iter().enumerate() {
-            let exp = item_exps[seq].take().expect("every item expanded");
-            let i = item.node;
-            let (hs, hl) = (home[i].0 as usize, home[i].1 as usize);
-            if exp.terminal {
-                bfs.terminal(i, || shards[hs].terminal_facts(hl));
-                continue;
-            }
-            bfs.begin_node(exp.slept);
-            for (si, (pid, sleep)) in exp.steps.into_iter().enumerate() {
-                let (t, sk, sl, is_new) = responses[cursor];
-                cursor += 1;
-                debug_assert_eq!(t, tag(seq as u32, si as u32));
-                let (sk, sl) = (sk as usize, sl as usize);
-                let slot = if sl >= keep_limit[sk] {
-                    // The owner resolved this occurrence to a node that
-                    // fell beyond the configuration (or memory) budget.
-                    MergeSlot::Capped
-                } else if is_new {
-                    MergeSlot::Added
-                } else {
-                    MergeSlot::Known(l2g[sk][sl] as usize)
-                };
-                if let Some(j) = bfs.step(i, pid, slot, sleep) {
-                    debug_assert_eq!(l2g[sk].len(), sl);
-                    l2g[sk].push(j as u32);
-                    home.push((sk as u32, sl as u32));
-                }
-            }
-            shard_edges[hs] +=
-                bfs.finish_node(i, exp.fired, exp.slept, || shards[hs].enabled_bits(hl));
-        }
-        debug_assert_eq!(cursor, responses.len());
-        bfs.wake_revisits();
-        drop(merge_t);
-        frontier = bfs.end_level(shards.iter().map(RowStore::resident_estimate).sum());
-    }
-
-    // Fold the per-shard phase timers into the main recorder as the
-    // parallel critical path, and publish the per-shard breakdowns.
-    rec.absorb_parallel(&children);
-    let shard_metrics = children
-        .iter()
-        .enumerate()
-        .map(|(k, child)| {
-            let mut sm = child.shard_phases(k);
-            sm.nodes = l2g[k].len();
-            sm.edges = shard_edges[k];
-            sm.sent = traffic_sent[k];
-            sm.received = traffic_recv[k];
-            sm.max_outbox = max_outbox[k];
-            sm.outbox_flushes = outbox_flushes[k];
-            sm
-        })
-        .collect();
-    rec.set_shards(shard_metrics);
-    Ok((bfs.finish(), shards, home))
-}
-
-/// The sharded explorer's freeze: reconstitutes each shard in memory,
-/// stitches the per-shard arenas back into one interner (deduplicating
-/// shared states) and rewrites every node's id row, in global id order,
-/// into one words array — identical in shape (and in
-/// [`approx_bytes`](StateGraph::approx_bytes)) to an unsharded
-/// exploration's arena.
-fn stitch(mut shards: Vec<RowStore>, home: &[(u32, u32)], rec: &Recorder) -> InternedNodes {
-    let _t = rec.time_freeze();
-    for shard in &mut shards {
-        shard.unspill(rec);
-    }
-    let (nobjects, stride) = (shards[0].nobjects, shards[0].stride);
-    let mut interner = StateInterner::new();
-    let remaps: Vec<(Vec<u32>, Vec<u32>)> = shards
-        .iter()
-        .map(|s| interner.absorb_arenas(&s.interner))
-        .collect();
-    let mut words = Vec::with_capacity(home.len() * stride);
-    for &(s, l) in home {
-        let (omap, pmap) = &remaps[s as usize];
-        let row = shards[s as usize].row(l as usize);
-        words.extend(row.iter().enumerate().map(|(slot, &w)| {
-            if slot < nobjects {
-                omap[w as usize]
-            } else {
-                pmap[w as usize]
-            }
-        }));
-    }
-    InternedNodes {
-        interner,
-        nobjects,
-        stride,
-        words,
-    }
 }
 
 /// One outgoing edge of the configuration graph.
@@ -2377,10 +1801,11 @@ fn warn_budget_truncated(budget: usize, configs: usize) {
 
 impl StateGraph {
     /// Exhaustively explores `spec` from its initial configuration,
-    /// breadth-first. With `opts.threads > 1` each large depth level is
-    /// expanded in parallel (in-line on a single-core host); the merge
-    /// order makes the resulting graph identical node-for-node to the
-    /// sequential one.
+    /// breadth-first. `opts.threads` is the one parallelism knob: with
+    /// `threads > 1` each large depth level's expansion is split across
+    /// that many workers (in-line on a single-core host), and one
+    /// sequential merge in frontier order numbers the nodes, so the
+    /// resulting graph is identical node-for-node to the sequential one.
     ///
     /// With `opts.symmetry`, the result is the **orbit-quotient** graph:
     /// every configuration is replaced by the canonical representative of
@@ -2451,18 +1876,11 @@ impl StateGraph {
         } else {
             spec.initial_config()
         };
-        let nshards = opts.effective_shards();
+        let (core, store) = explore_core(spec, &init, &opts, rec)?;
         // A verdict goal keeps no node contents: its callers never look at
-        // configurations again, so the stores — and any spill, with its run
-        // directory — drop here without being reconstituted or stitched.
-        let keep_nodes = matches!(opts.goal, ExploreGoal::FullGraph);
-        let (core, nodes) = if nshards > 1 {
-            let (core, shards, home) = explore_sharded(spec, &init, nshards, &opts, rec)?;
-            (core, keep_nodes.then(|| stitch(shards, &home, rec)))
-        } else {
-            let (core, store) = explore_core(spec, &init, &opts, rec)?;
-            (core, keep_nodes.then(|| store.into_nodes(rec)))
-        };
+        // configurations again, so the store — and any spill, with its run
+        // directory — drops here without being reconstituted.
+        let nodes = matches!(opts.goal, ExploreGoal::FullGraph).then(|| store.into_nodes(rec));
         let mut graph = StateGraph {
             nodes,
             len: core.len,
@@ -3324,118 +2742,14 @@ mod tests {
         assert_eq!(store.find(0, &foreign, &rec), None);
     }
 
-    /// Two indistinguishable processes racing on one register: the one
-    /// in-repo shape whose symmetry groups are nontrivial, so the
-    /// canonicalize-then-fingerprint shard routing actually exercises
-    /// orbit collapsing.
-    fn symmetric_spec(nprocs: usize) -> subconsensus_sim::SystemSpec {
-        let mut b = SystemBuilder::new();
-        let reg = b.add_object(Reg);
-        let p = Arc::new(WriteReadDecide { reg });
-        for _ in 0..nprocs {
-            b.add_process(p.clone(), Value::Int(7));
-        }
-        b.build()
-    }
-
-    fn assert_graphs_identical(g: &StateGraph, base: &StateGraph, label: &str) {
-        assert_eq!(g.len(), base.len(), "{label}");
-        for i in 0..base.len() {
-            assert_eq!(g.config(i), base.config(i), "node {i} {label}");
-            assert_eq!(g.edges(i), base.edges(i), "edges of {i} {label}");
-        }
-        assert_eq!(g.terminals(), base.terminals(), "{label}");
-        assert_eq!(g.is_truncated(), base.is_truncated(), "{label}");
-    }
-
-    #[test]
-    fn sharded_exploration_is_shard_count_independent() {
-        let spec = race_spec(3);
-        let base = StateGraph::explore(&spec, &ExploreOptions::default().with_shards(1)).unwrap();
-        assert!(base.len() > 100, "a nontrivial graph");
-        for shards in [2usize, 3, 4] {
-            let opts = ExploreOptions::default().with_shards(shards);
-            let g = StateGraph::explore(&spec, &opts).unwrap();
-            assert_graphs_identical(&g, &base, &format!("{shards} shards"));
-            // The freeze-time arena stitch must reproduce the exact
-            // single-store representation, bytes included — the CI bench
-            // guard diffs this across MC_SHARDS values.
-            assert_eq!(g.approx_bytes(), base.approx_bytes(), "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn sharded_por_symmetry_matrix_matches_unsharded() {
-        for (name, spec) in [
-            ("race3", race_spec(3)),
-            ("blocked2", blocked_spec(2)),
-            ("symmetric3", symmetric_spec(3)),
-        ] {
-            for symmetry in [false, true] {
-                for por in [false, true] {
-                    let base_opts = ExploreOptions::default()
-                        .with_symmetry(symmetry)
-                        .with_por(por);
-                    let base = StateGraph::explore(&spec, &base_opts).unwrap();
-                    for shards in [2usize, 4] {
-                        let g = StateGraph::explore(&spec, &base_opts.clone().with_shards(shards))
-                            .unwrap();
-                        assert_graphs_identical(
-                            &g,
-                            &base,
-                            &format!("{name} sym={symmetry} por={por} shards={shards}"),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn truncated_sharded_exploration_matches_unsharded() {
-        let spec = race_spec(3);
-        let base_opts = ExploreOptions::with_max_configs(40);
-        let base = StateGraph::explore(&spec, &base_opts).unwrap();
-        assert!(base.is_truncated());
-        for shards in [2usize, 4] {
-            let g = StateGraph::explore(&spec, &base_opts.clone().with_shards(shards)).unwrap();
-            assert_graphs_identical(&g, &base, &format!("cap=40 shards={shards}"));
-        }
-    }
-
-    #[test]
-    fn sharded_metrics_report_per_shard_breakdowns() {
-        let spec = race_spec(3);
-        let opts = ExploreOptions::default().with_shards(4).with_metrics(true);
-        let g = StateGraph::explore(&spec, &opts).unwrap();
-        let shards = &g.metrics().shards;
-        assert_eq!(shards.len(), 4);
-        assert_eq!(
-            shards.iter().map(|s| s.nodes).sum::<usize>(),
-            g.len(),
-            "every node has exactly one owning shard"
-        );
-        assert_eq!(
-            shards.iter().map(|s| s.edges).sum::<usize>(),
-            g.stats().edges,
-            "every edge is attributed to its source's owner"
-        );
-        assert_eq!(
-            shards.iter().map(|s| s.sent).sum::<u64>(),
-            shards.iter().map(|s| s.received).sum::<u64>(),
-            "routed successors all arrive somewhere"
-        );
-        assert!(shards.iter().filter(|s| s.nodes > 0).count() > 1);
-        // Unsharded runs publish no per-shard rows.
-        let g1 = StateGraph::explore(&spec, &ExploreOptions::default().with_metrics(true)).unwrap();
-        assert!(g1.metrics().shards.is_empty());
-    }
-
     #[test]
     fn malformed_env_values_are_reported_not_parsed() {
-        assert_eq!(parse_env("MC_SHARDS", " 4 ", parse_usize), Ok(Some(4)));
-        assert_eq!(parse_env("MC_SHARDS", "", parse_usize), Ok(None));
-        assert_eq!(parse_env("MC_SHARDS", "  ", parse_usize), Ok(None));
+        assert_eq!(
+            parse_env("MC_STORE_BUDGET", " 4 ", parse_usize),
+            Ok(Some(4))
+        );
+        assert_eq!(parse_env("MC_STORE_BUDGET", "", parse_usize), Ok(None));
+        assert_eq!(parse_env("MC_STORE_BUDGET", "  ", parse_usize), Ok(None));
         let err = parse_env("MC_STORE_BUDGET", "4MiB", parse_usize).unwrap_err();
         assert!(
             err.contains("MC_STORE_BUDGET") && err.contains("4MiB"),
@@ -3451,19 +2765,5 @@ mod tests {
         );
         let err = parse_env("MC_STORE", "ssd", parse_store).unwrap_err();
         assert!(err.contains("MC_STORE") && err.contains("ssd"), "{err}");
-    }
-
-    #[test]
-    fn shard_option_is_clamped() {
-        assert_eq!(
-            ExploreOptions::default()
-                .with_shards(9999)
-                .effective_shards(),
-            MAX_SHARDS
-        );
-        assert_eq!(
-            ExploreOptions::default().with_shards(3).effective_shards(),
-            3
-        );
     }
 }

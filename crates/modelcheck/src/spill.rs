@@ -1,10 +1,9 @@
-//! Disk spill backend for the interned exploration stores.
+//! Disk spill backend for the interned exploration store.
 //!
-//! The interned stores are file-shaped already: node rows are fixed-stride
+//! The interned store is file-shaped already: node rows are fixed-stride
 //! `u32` id arrays appended in discovery order, arena ids are dense and
 //! append-only, and the fingerprint index is a flat `fp → ids` multimap.
-//! This module gives `CompactStore` / `CompactShard` (see `graph.rs`) a
-//! bounded hot tier by spilling each of those to files under a
+//! This module gives `RowStore` (see `graph.rs`) a bounded hot tier by spilling each of those to files under a
 //! per-exploration run directory:
 //!
 //! * **rows** — one file holding the id rows of nodes `[0, hot_base)`, in
@@ -30,13 +29,13 @@
 //! order does not matter to the caller, because at most one stored row can
 //! word-match a configuration.
 //!
-//! What spills, and when, is decided by the stores (`begin_level` in
+//! What spills, and when, is decided by the store (`begin_level` in
 //! `graph.rs`); this module is the dumb I/O layer plus the byte
 //! accounting. All reads and writes are positional (`FileExt::*_at`), so no
 //! operation depends on a file cursor. Spill I/O failing is an environment
 //! failure (disk full, run dir deleted), not a model-checking result, so
 //! all I/O panics with context rather than threading `Result`s through the
-//! store traits.
+//! store.
 //!
 //! The run directory lives under `MC_STORE_DIR` (default:
 //! [`std::env::temp_dir`]) as `mc-spill-<pid>-<seq>` and is removed on
@@ -69,8 +68,8 @@ const INDEX_ENTRY: usize = 16;
 /// Entries per positional read while a drain streams the old index file.
 const MERGE_CHUNK: usize = 4096;
 
-/// Distinguishes run directories of concurrent explorations in one process
-/// (sharded runs create one per shard).
+/// Distinguishes run directories of concurrent explorations in one
+/// process.
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// An owned run directory, removed (recursively) on drop.

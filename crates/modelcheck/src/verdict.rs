@@ -39,8 +39,8 @@
 //! Symmetry and POR quotients preserve exactly the facts the engine
 //! streams (terminal decision sets, hangs, cycles-or-not, root valence) —
 //! see DESIGN.md — so a verdict goal composes with both reductions, and
-//! with sharding: shard-local facts are folded in the same deterministic
-//! tag order the graph itself is built in.
+//! with parallel expansion: facts are folded in the sequential merge, in
+//! the same order the graph itself is built in.
 
 use std::collections::BTreeSet;
 
@@ -302,13 +302,12 @@ pub(crate) struct TerminalFacts {
     pub all_decided: bool,
 }
 
-/// The in-flight accumulator `explore_core` / `explore_sharded` feed.
+/// The in-flight accumulator `explore_core` feeds.
 ///
 /// All state transitions are commutative (max, union, monotone bools), so
 /// the fold is insensitive to merge order within a level; combined with
 /// level-granular early exit this keeps verdicts — and explored-config
-/// counts — deterministic across threads × shards × symmetry × POR ×
-/// store.
+/// counts — deterministic across threads × symmetry × POR × store.
 #[derive(Debug)]
 pub(crate) struct VerdictEngine {
     query: VerdictQuery,

@@ -63,9 +63,8 @@ struct Pool<T> {
     /// `Option<Arc<T>>` is pointer-sized, so eviction costs no table space.
     arena: Vec<Option<Arc<T>>>,
     /// `hashes[id]` is the content hash of `arena[id]` — the same value the
-    /// state was interned under. Shard routing reads it so a slot's
-    /// contribution to a configuration's *content* fingerprint never depends
-    /// on which interner issued the id. Never evicted.
+    /// state was interned under; debug builds check restored segments
+    /// against it. Never evicted.
     hashes: Vec<u64>,
     /// Hash → candidate ids, verified by full equality (hash collisions are
     /// survivable, just slow).
@@ -134,9 +133,7 @@ impl<T: Eq + Hash> Pool<T> {
     /// comparing against it could create a duplicate id for an equal state
     /// and silently break the `id(a) == id(b) ⇔ a == b` invariant. Callers
     /// on the merge path must restore the segments named by
-    /// [`StateInterner::cold_segments_for_pending`] /
-    /// [`cold_segments_for_wire`](StateInterner::cold_segments_for_wire)
-    /// first.
+    /// [`StateInterner::cold_segments_for_pending`] first.
     fn intern_hashed(&mut self, hash: u64, value: &T, make: impl FnOnce() -> Arc<T>) -> u32 {
         if let Some(id) = self.lookup_hashed(hash, value) {
             return id;
@@ -425,57 +422,6 @@ impl StateInterner {
         bits
     }
 
-    /// Content-based fingerprint of a row of id words: hashes the per-slot
-    /// *content* hashes (recorded at intern time) rather than the ids, so
-    /// equal configurations fingerprint identically no matter which
-    /// [`StateInterner`] issued the ids, or in what order its arenas were
-    /// populated. Sharded exploration routes configurations to their owner
-    /// shard by this value (see
-    /// [`shard_of_fingerprint`]); id-based hashes would make shard
-    /// ownership depend on interning history, which differs per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any word was not issued by this interner.
-    pub fn content_fingerprint_words(&self, nobjects: usize, words: &[u32]) -> u64 {
-        let mut h = DefaultHasher::new();
-        nobjects.hash(&mut h);
-        for &id in &words[..nobjects] {
-            self.objs.hashes[id as usize].hash(&mut h);
-        }
-        for &id in &words[nobjects..] {
-            self.procs.hashes[id as usize].hash(&mut h);
-        }
-        h.finish()
-    }
-
-    /// Interns every slot of a cross-shard [`WireConfig`] into *this*
-    /// interner and returns the local id-word form. The wire carries each
-    /// state's `Arc` plus its content hash, so adoption is pure arena
-    /// lookups/inserts — no state is deep-copied or re-hashed.
-    ///
-    /// This is how a shard merges successors generated by a *different*
-    /// shard's workers: ids are meaningless across interners, content is
-    /// not.
-    pub fn adopt(&mut self, wire: WireConfig) -> CompactConfig {
-        let WireConfig {
-            nobjects,
-            objs,
-            procs,
-        } = wire;
-        let mut words = Vec::with_capacity(objs.len() + procs.len());
-        for (hash, state) in objs {
-            words.push(self.intern_obj_counted(hash, &state));
-        }
-        for (hash, state) in procs {
-            words.push(self.intern_proc_counted(hash, &state));
-        }
-        CompactConfig {
-            nobjects,
-            words: words.into_boxed_slice(),
-        }
-    }
-
     /// Interns the fresh states of `pending` (produced by
     /// [`SystemSpec::compact_successors`](crate::SystemSpec::compact_successors))
     /// and returns the fully resolved id words.
@@ -503,33 +449,6 @@ impl StateInterner {
         }
         debug_assert!(!words.contains(&PLACEHOLDER));
         CompactConfig { nobjects, words }
-    }
-
-    /// Merges `other`'s arenas into this interner — states present in both
-    /// are deduplicated (`Arc`s shared, nothing deep-copied) — and returns
-    /// the id remappings (`old object id → new id`, `old process id → new
-    /// id`, indexed by old id).
-    ///
-    /// The sharded explorer uses this when freezing a graph: per-shard
-    /// arenas are stitched back into one interner and every node's id row
-    /// is rewritten through the returned maps, so the frozen representation
-    /// is identical in shape to a single-store exploration's.
-    pub fn absorb_arenas(&mut self, other: &StateInterner) -> (Vec<u32>, Vec<u32>) {
-        let mut omap = Vec::with_capacity(other.objs.arena.len());
-        for (state, &hash) in other.objs.arena.iter().zip(&other.objs.hashes) {
-            let state = state
-                .as_ref()
-                .expect("absorbing an interner with evicted segments — restore them first");
-            omap.push(self.intern_obj_counted(hash, state));
-        }
-        let mut pmap = Vec::with_capacity(other.procs.arena.len());
-        for (state, &hash) in other.procs.arena.iter().zip(&other.procs.hashes) {
-            let state = state
-                .as_ref()
-                .expect("absorbing an interner with evicted segments — restore them first");
-            pmap.push(self.intern_proc_counted(hash, state));
-        }
-        (omap, pmap)
     }
 
     /// Arena sizes, hit rates and footprint, for post-exploration reports.
@@ -694,26 +613,6 @@ impl StateInterner {
             for seg in pool_cold {
                 if !out.contains(&(is_proc, seg)) {
                     out.push((is_proc, seg));
-                }
-            }
-        }
-    }
-
-    /// The evicted segments that must be restored before
-    /// [`adopt`](Self::adopt) may intern `wire`'s slots (see
-    /// [`cold_segments_for_pending`](Self::cold_segments_for_pending)).
-    pub fn cold_segments_for_wire(&self, wire: &WireConfig, out: &mut Vec<(bool, usize)>) {
-        for (hash, _) in &wire.objs {
-            for seg in self.objs.cold_candidate_segments(*hash) {
-                if !out.contains(&(false, seg)) {
-                    out.push((false, seg));
-                }
-            }
-        }
-        for (hash, _) in &wire.procs {
-            for seg in self.procs.cold_candidate_segments(*hash) {
-                if !out.contains(&(true, seg)) {
-                    out.push((true, seg));
                 }
             }
         }
@@ -1098,71 +997,6 @@ impl PendingConfig {
             .map(|f| &f.state)
     }
 
-    /// The content hash of `slot`: the arena-recorded hash for interned
-    /// slots, the ride-along hash for fresh ones.
-    fn slot_content_hash(&self, interner: &StateInterner, slot: usize) -> u64 {
-        let word = self.words[slot];
-        if word != PLACEHOLDER {
-            return if slot < self.nobjects() {
-                interner.objs.hashes[word as usize]
-            } else {
-                interner.procs.hashes[word as usize]
-            };
-        }
-        self.fresh
-            .iter()
-            .find(|f| f.slot as usize == slot)
-            .map(|f| f.hash)
-            .expect("placeholder slot without a fresh ride-along")
-    }
-
-    /// Content-based fingerprint, identical to
-    /// [`StateInterner::content_fingerprint_words`] on the words
-    /// [`StateInterner::finalize`] would produce — computable *before*
-    /// finalizing, on worker threads holding only `&StateInterner`. Sharded
-    /// exploration uses it to route a successor to its owner shard without
-    /// touching any arena.
-    pub fn content_fingerprint(&self, interner: &StateInterner) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.nobjects().hash(&mut h);
-        for slot in 0..self.words.len() {
-            self.slot_content_hash(interner, slot).hash(&mut h);
-        }
-        h.finish()
-    }
-
-    /// Converts into the interner-independent wire form for hand-off to
-    /// another shard: every slot resolved to its `Arc`'d state plus content
-    /// hash (`Arc` clones out of the arena for interned slots, one
-    /// allocation per genuinely fresh state).
-    pub fn export(self, interner: &StateInterner) -> WireConfig {
-        let nobjects = self.nobjects();
-        let mut objs = Vec::with_capacity(nobjects);
-        let mut procs = Vec::with_capacity(self.nprocs());
-        for slot in 0..self.words.len() {
-            let hash = self.slot_content_hash(interner, slot);
-            let word = self.words[slot];
-            if slot < nobjects {
-                let state = match self.fresh_at(slot) {
-                    Some(FreshState::Obj(v)) => Arc::new(v.clone()),
-                    _ => interner.object_arc(word),
-                };
-                objs.push((hash, state));
-            } else {
-                let state = match self.fresh_at(slot) {
-                    Some(FreshState::Proc(p)) => Arc::new(p.clone()),
-                    _ => interner.proc_arc(word),
-                };
-                procs.push((hash, state));
-            }
-        }
-        WireConfig {
-            nobjects: self.nobjects,
-            objs,
-            procs,
-        }
-    }
-
     /// Rearranges the process slots by `perm` (`perm[old] = new`), exactly
     /// like [`Config::permuted`], rewriting fresh-slot positions too.
     pub(crate) fn permute_procs(&mut self, perm: &[usize]) {
@@ -1179,56 +1013,6 @@ impl PendingConfig {
             }
         }
     }
-}
-
-/// An interner-independent configuration in transit between shards.
-///
-/// Per-shard [`StateInterner`]s issue unrelated ids, so a successor crossing
-/// shards cannot travel as id words. The wire form carries each slot's state
-/// `Arc` together with its content hash — enough for the owning shard to
-/// [`StateInterner::adopt`] it with pure arena lookups, and for the content
-/// fingerprint to be recomputed without re-hashing any state.
-#[derive(Clone, Debug)]
-pub struct WireConfig {
-    nobjects: u32,
-    /// Object slots, in position order: (content hash, state).
-    objs: Vec<(u64, Arc<Value>)>,
-    /// Process slots, in position order: (content hash, state).
-    procs: Vec<(u64, Arc<ProcState>)>,
-}
-
-impl WireConfig {
-    /// Content-based fingerprint, equal to what
-    /// [`PendingConfig::content_fingerprint`] reported before export and
-    /// what [`StateInterner::content_fingerprint_words`] reports after
-    /// adoption.
-    pub fn content_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        (self.nobjects as usize).hash(&mut h);
-        for (hash, _) in &self.objs {
-            hash.hash(&mut h);
-        }
-        for (hash, _) in &self.procs {
-            hash.hash(&mut h);
-        }
-        h.finish()
-    }
-}
-
-/// Maps a content fingerprint to its owning shard (`fp mod shards`).
-///
-/// Shard routing must use the *content* fingerprint of the **canonical**
-/// representative (when symmetry reduction is on), so every member of an
-/// orbit lands in the same shard's dedup table; see
-/// [`StateInterner::content_fingerprint_words`] for why id-based hashes
-/// would break this.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero.
-pub fn shard_of_fingerprint(fp: u64, shards: usize) -> usize {
-    assert!(shards > 0, "shard count must be positive");
-    (fp % shards as u64) as usize
 }
 
 /// Arena sizes, hit rates and memory footprint of a [`StateInterner`],
@@ -1251,20 +1035,6 @@ pub struct InternerStats {
 }
 
 impl InternerStats {
-    /// Folds another interner's stats into this one (field-wise sums), for
-    /// reporting sharded explorations as one summary. Per-shard arenas are
-    /// independent, so a state present in two shards counts twice — the
-    /// summed `object_states`/`proc_states`/`state_bytes` are the honest
-    /// total footprint of the sharded run, not a distinct-state count.
-    pub fn absorb(&mut self, other: &InternerStats) {
-        self.object_states += other.object_states;
-        self.proc_states += other.proc_states;
-        self.requests += other.requests;
-        self.hits += other.hits;
-        self.table_bytes += other.table_bytes;
-        self.state_bytes += other.state_bytes;
-    }
-
     /// Fraction of requests answered from the arena (0.0 when idle).
     pub fn hit_rate(&self) -> f64 {
         if self.requests == 0 {
@@ -1374,115 +1144,6 @@ mod tests {
         let r = interner.intern_proc_arc(&running);
         let d = interner.intern_proc_arc(&decided);
         assert_eq!(interner.enabled_bits(0, &[r, d, r]), 0b101);
-    }
-
-    #[test]
-    fn content_fingerprint_survives_export_adopt_round_trip() {
-        // Two interners with *different* arena histories: pre-populate the
-        // second with unrelated states so equal configs get different ids.
-        let mut a = StateInterner::new();
-        let mut b = StateInterner::new();
-        for i in 0..5 {
-            b.intern_object_arc(&Arc::new(Value::Int(100 + i)));
-            b.intern_proc_arc(&Arc::new(ProcState {
-                local: Value::Int(200 + i),
-                resp: None,
-                status: ProcStatus::Running,
-            }));
-        }
-        let base = Arc::new(ProcState {
-            local: Value::Nil,
-            resp: None,
-            status: ProcStatus::Fresh,
-        });
-        let id = a.intern_proc_arc(&base);
-        let mut pending = PendingConfig::copy_of(0, &[id, id]);
-        pending.set_proc_state(
-            &a,
-            1,
-            ProcState {
-                local: Value::Int(7),
-                resp: None,
-                status: ProcStatus::Running,
-            },
-        );
-        let fp_pending = pending.content_fingerprint(&a);
-        let wire = pending.clone().export(&a);
-        assert_eq!(wire.content_fingerprint(), fp_pending);
-        // Adopting into a differently-populated interner: different ids,
-        // same content fingerprint, same materialized config.
-        let adopted = b.adopt(wire);
-        assert_eq!(
-            b.content_fingerprint_words(0, adopted.words()),
-            fp_pending,
-            "content fingerprint must not depend on interner history"
-        );
-        let finalized = a.finalize(pending);
-        assert_ne!(finalized.words(), adopted.words());
-        assert_eq!(
-            a.content_fingerprint_words(0, finalized.words()),
-            fp_pending
-        );
-        assert_eq!(finalized.materialize(&a), adopted.materialize(&b));
-        // Re-adoption dedups against the now-present states.
-        assert!(shard_of_fingerprint(fp_pending, 4) < 4);
-        assert_eq!(shard_of_fingerprint(fp_pending, 1), 0);
-    }
-
-    #[test]
-    fn interner_stats_absorb_sums_fields() {
-        let mut a = StateInterner::new();
-        a.intern_object_arc(&Arc::new(Value::Int(1)));
-        a.intern_object_arc(&Arc::new(Value::Int(1)));
-        let mut total = a.stats();
-        total.absorb(&a.stats());
-        assert_eq!(total.object_states, 2);
-        assert_eq!(total.requests, 4);
-        assert_eq!(total.hits, 2);
-        assert!(total.table_bytes >= 2 * a.stats().table_bytes);
-    }
-
-    #[test]
-    fn absorb_arenas_dedups_and_remaps() {
-        // Two arenas with overlapping contents interned in different
-        // orders, so equal states carry different ids.
-        let mut a = StateInterner::new();
-        let mut b = StateInterner::new();
-        let oa0 = a.intern_object_arc(&Arc::new(Value::Int(1)));
-        let oa1 = a.intern_object_arc(&Arc::new(Value::Int(2)));
-        let ob0 = b.intern_object_arc(&Arc::new(Value::Int(2)));
-        let ob1 = b.intern_object_arc(&Arc::new(Value::Int(3)));
-        let pa = a.intern_proc_arc(&Arc::new(ProcState {
-            local: Value::Int(10),
-            resp: None,
-            status: ProcStatus::Running,
-        }));
-        let pb = b.intern_proc_arc(&Arc::new(ProcState {
-            local: Value::Int(10),
-            resp: None,
-            status: ProcStatus::Running,
-        }));
-        let mut merged = StateInterner::new();
-        let (omap_a, pmap_a) = merged.absorb_arenas(&a);
-        let (omap_b, pmap_b) = merged.absorb_arenas(&b);
-        // The shared states (Int(2), the Int(10) proc) must collapse to
-        // single ids; the rest stay distinct.
-        assert_eq!(omap_a[oa1 as usize], omap_b[ob0 as usize]);
-        assert_ne!(omap_a[oa0 as usize], omap_b[ob1 as usize]);
-        assert_eq!(pmap_a[pa as usize], pmap_b[pb as usize]);
-        let stats = merged.stats();
-        assert_eq!(stats.object_states, 3, "1, 2, 3");
-        assert_eq!(stats.proc_states, 1);
-        // Remapped ids resolve to the same states as the originals.
-        assert_eq!(merged.object(omap_a[oa0 as usize]), a.object(oa0));
-        assert_eq!(merged.object(omap_b[ob1 as usize]), b.object(ob1));
-        assert_eq!(merged.proc(pmap_a[pa as usize]), a.proc(pa));
-        // The enabled-bit cache covers the absorbed procs.
-        assert_eq!(
-            merged.enabled_bits(0, &[pmap_a[pa as usize]]),
-            0b1,
-            "a Running proc is enabled"
-        );
     }
 
     #[test]

@@ -100,14 +100,11 @@ pub use error::{ObjectError, ProtocolError, SimError};
 pub use history::{History, HistoryError, HistoryEvent, OpId, OpRecord};
 pub use ids::{ObjId, Pid};
 pub use implementation::{ImplStep, Implementation};
-pub use intern::{
-    shard_of_fingerprint, CompactConfig, InternerStats, PendingConfig, StateInterner, WireConfig,
-    ARENA_SEGMENT,
-};
+pub use intern::{CompactConfig, InternerStats, PendingConfig, StateInterner, ARENA_SEGMENT};
 pub use linearize::{check_linearizable, is_linearizable, LinearizeError, MAX_OPS};
 pub use metrics::{
     env_flag, git_revision, mc_env_json, unix_time_ms, warn_once, ExploreMetrics, LevelMetrics,
-    PhaseGuard, ProgressReport, Recorder, RunRecord, ShardMetrics, StoreMetrics, TruncationCause,
+    PhaseGuard, ProgressReport, Recorder, RunRecord, StoreMetrics, TruncationCause,
     DEFAULT_PROGRESS_EVERY,
 };
 pub use object::{audit_determinism, DeterminismViolation, ObjectSpec, Outcome};

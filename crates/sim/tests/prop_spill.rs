@@ -207,15 +207,11 @@ fn segment_encode_evict_restore_round_trips_bit_exact() {
 }
 
 #[test]
-fn id_equality_and_fingerprints_survive_reload() {
+fn id_equality_survives_reload() {
     let spec = counter_system();
     for seed in 0..4u64 {
         let mut interner = StateInterner::new();
         let pairs = populate(&spec, &mut interner, 50_000 + seed * 104_729, 2);
-        let fps: Vec<u64> = pairs
-            .iter()
-            .map(|(_, x)| interner.content_fingerprint_words(x.nobjects(), x.words()))
-            .collect();
         // Evict every complete segment in both pools at once — the worst
         // case the disk store's eviction pass can produce.
         let mut obj_bytes = Vec::new();
@@ -227,16 +223,6 @@ fn id_equality_and_fingerprints_survive_reload() {
         for seg in 0..interner.proc_segments() {
             proc_bytes.push(interner.encode_proc_segment(seg));
             interner.evict_proc_segment(seg);
-        }
-        // Content fingerprints never dereference values, so they must be
-        // computable — and unchanged — while the states are cold. Shard
-        // routing relies on exactly this.
-        for ((_, x), fp) in pairs.iter().zip(&fps) {
-            assert_eq!(
-                interner.content_fingerprint_words(x.nobjects(), x.words()),
-                *fp,
-                "seed {seed}: fingerprint stable under eviction"
-            );
         }
         for (seg, bytes) in obj_bytes.iter().enumerate() {
             interner.restore_object_segment(seg, bytes);

@@ -4,12 +4,12 @@
 //! reductions, the streaming answer must
 //!
 //! 1. *agree* — `holds()` decides exactly the full-graph answer on every
-//!    untruncated run, across shard counts × POR × symmetry;
+//!    untruncated run, across thread counts × POR × symmetry;
 //! 2. stay *one-sided sound* when truncated — never `Some(true)`, any
 //!    `Some(false)` backed by the full graph, and every bound
 //!    (`max_distinct.lower`, `root_valence`) a valid lower approximation;
 //! 3. leave the graph *verdict-only* — CSR-consuming analyses
-//!    (`edges`, `find_critical`, sharded `node`) panic with an actionable
+//!    (`edges`, `find_critical`, `node`) panic with an actionable
 //!    message instead of reading adjacency that was never frozen.
 //!
 //! Written over the in-tree seeded [`SmallRng`] (repo style: seeded loops,
@@ -454,7 +454,7 @@ fn assert_bounds_sound(
 }
 
 // ---------------------------------------------------------------------------
-// 1. Agreement on untruncated runs, across shards × POR × symmetry.
+// 1. Agreement on untruncated runs, across threads × POR × symmetry.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -470,14 +470,14 @@ fn streaming_verdicts_agree_with_full_graph_across_reductions() {
                 for _ in 0..4 {
                     let query = random_query(&mut rng);
                     let expected = expected_answer(&query, &truth);
-                    for shards in [1usize, 4] {
+                    for threads in [1usize, 4] {
                         let label =
-                            format!("{name} sym={symmetry} por={por} x{shards} query={query:?}");
+                            format!("{name} sym={symmetry} por={por} t{threads} query={query:?}");
                         let g = StateGraph::explore(
                             &spec,
                             &base
                                 .clone()
-                                .with_shards(shards)
+                                .with_threads(threads)
                                 .with_goal(ExploreGoal::Verdict(query.clone())),
                         )
                         .expect("verdict explore");
@@ -618,19 +618,19 @@ fn edges_panic_on_verdict_only_graph() {
 
 #[test]
 fn node_contents_panic_on_verdict_only_graph() {
-    // A verdict-only graph keeps no node contents at any shard count, so
-    // every node accessor fails the same way at `MC_SHARDS=1` and `4`.
-    for shards in [1usize, 4] {
+    // A verdict-only graph keeps no node contents at any thread count, so
+    // every node accessor fails the same way at `threads` 1 and 4.
+    for threads in [1usize, 4] {
         let g = StateGraph::explore(
             &gate_system(3),
             &ExploreOptions::default()
-                .with_shards(shards)
+                .with_threads(threads)
                 .with_goal(ExploreGoal::Verdict(
                     VerdictQuery::new().require_wait_freedom(),
                 )),
         )
         .expect("verdict explore");
-        assert!(g.interner_stats().is_none(), "shards={shards}");
+        assert!(g.interner_stats().is_none(), "threads={threads}");
         let probes: [&dyn Fn(); 2] = [
             &|| {
                 let _ = g.node(0);
@@ -647,7 +647,7 @@ fn node_contents_panic_on_verdict_only_graph() {
                 .map(String::as_str)
                 .or_else(|| err.downcast_ref::<&str>().copied())
                 .unwrap_or_default();
-            assert!(msg.contains("never gathered"), "shards={shards}: {msg}");
+            assert!(msg.contains("never gathered"), "threads={threads}: {msg}");
         }
     }
 }

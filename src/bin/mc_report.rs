@@ -5,8 +5,7 @@
 //!
 //! * `ledger <runs.jsonl>` — pretty-print an `MC_RUN_LOG` run ledger:
 //!   per-run identity (spec hash, git revision, wall time), options,
-//!   outcome, a per-phase wall-time breakdown, shard balance and spill
-//!   stats.
+//!   outcome, a per-phase wall-time breakdown and spill stats.
 //! * `tail <status.json>` — render an `MC_STATUS_FILE` snapshot (pass
 //!   `--follow` to poll until the run reports `done`).
 //! * `validate <trace.jsonl>` — check an `MC_TRACE` level log: every line
@@ -127,12 +126,11 @@ fn render_run(rec: &JsonValue, n: usize) -> String {
         };
         let _ = writeln!(
             out,
-            "  options: goal {}, max_configs {}, threads {}, shards {}, \
+            "  options: goal {}, max_configs {}, threads {}, \
              symmetry {}, por {}, store {}{budget}",
             opts.get("goal").and_then(JsonValue::as_str).unwrap_or("?"),
             int(opts, "max_configs"),
             int(opts, "threads"),
-            int(opts, "shards"),
             opts.get("symmetry")
                 .and_then(JsonValue::as_bool)
                 .unwrap_or(false),
@@ -232,25 +230,6 @@ fn render_metrics(metrics: &JsonValue) -> String {
             }
         } else {
             let _ = writeln!(out, "  phase breakdown: untimed");
-        }
-    }
-    if let Some(shards) = metrics.get("shards").and_then(JsonValue::as_array) {
-        if !shards.is_empty() {
-            let nodes: Vec<u64> = shards.iter().map(|s| int(s, "nodes")).collect();
-            let min = nodes.iter().min().copied().unwrap_or(0);
-            let max = nodes.iter().max().copied().unwrap_or(0);
-            let sent: u64 = shards.iter().map(|s| int(s, "sent")).sum();
-            let balance = if max > 0 {
-                min as f64 / max as f64
-            } else {
-                1.0
-            };
-            let _ = writeln!(
-                out,
-                "  shards: {} shards, nodes {min}..{max} (balance {balance:.2}), \
-                 {sent} cross-shard sends",
-                shards.len()
-            );
         }
     }
     if let Some(store) = metrics.get("store") {
@@ -374,7 +353,7 @@ fn validate(path: &str) -> Result<ExitCode, String> {
 /// the run (timing fields deliberately excluded).
 fn row_key(row: &JsonValue) -> String {
     format!(
-        "{} goal={} store={} threads={} shards={} sym={} por={}",
+        "{} goal={} store={} threads={} sym={} por={}",
         row.get("fixture")
             .and_then(JsonValue::as_str)
             .unwrap_or("?"),
@@ -385,7 +364,6 @@ fn row_key(row: &JsonValue) -> String {
             .and_then(JsonValue::as_str)
             .unwrap_or("mem"),
         int(row, "threads"),
-        int(row, "shards"),
         row.get("symmetry")
             .and_then(JsonValue::as_bool)
             .unwrap_or(false),

@@ -187,8 +187,8 @@ fn quotient_shrinks_symmetric_graphs_and_preserves_trivial_ones() {
 fn quotient_matches_reference_explorer() {
     // The id-space canonicalization must pick the same orbit
     // representatives, in the same order, as the naive reference BFS that
-    // canonicalizes deep `Config`s — node for node, for every thread and
-    // shard count and under a truncating configuration bound — so every
+    // canonicalizes deep `Config`s — node for node, for every thread
+    // count and under a truncating configuration bound — so every
     // verdict derived from the quotient is the reference's, not merely an
     // isomorphic one.
     for (label, spec) in [
@@ -201,51 +201,18 @@ fn quotient_matches_reference_explorer() {
             for max_configs in [usize::MAX, full.configs.len() / 2] {
                 let r = reference::explore(&spec, symmetry, max_configs);
                 for threads in [1usize, 4] {
-                    for shards in [1usize, 2, 4] {
-                        let opts = ExploreOptions::with_max_configs(max_configs)
-                            .with_symmetry(symmetry)
-                            .with_threads(threads)
-                            .with_shards(shards);
-                        let g = StateGraph::explore(&spec, &opts).expect("explore");
-                        reference::assert_matches(
-                            &g,
-                            &r,
-                            &format!(
-                                "{label} (symmetry={symmetry} cap={max_configs} \
-                                 x{threads} threads x{shards} shards)"
-                            ),
-                        );
-                    }
+                    let opts = ExploreOptions::with_max_configs(max_configs)
+                        .with_symmetry(symmetry)
+                        .with_threads(threads);
+                    let g = StateGraph::explore(&spec, &opts).expect("explore");
+                    reference::assert_matches(
+                        &g,
+                        &r,
+                        &format!(
+                            "{label} (symmetry={symmetry} cap={max_configs} x{threads} threads)"
+                        ),
+                    );
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn sharded_quotient_identical_across_shard_counts() {
-    // Shard routing fingerprints the *canonical* form, so a whole symmetry
-    // orbit lands in one shard and the quotient graph — including orbit
-    // representative choice and node order — is shard-count independent.
-    for (label, spec) in [
-        ("e1 sym p3", grouped_system_sym(2, 1, 3)),
-        ("e1 distinct p3", grouped_system(2, 1, 3)),
-        ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
-    ] {
-        for symmetry in [false, true] {
-            let opts = ExploreOptions::default().with_symmetry(symmetry);
-            let base = StateGraph::explore(&spec, &opts).expect("unsharded explore");
-            for shards in [2usize, 4] {
-                let g = StateGraph::explore(&spec, &opts.clone().with_shards(shards))
-                    .expect("sharded explore");
-                let label = format!("{label} (symmetry={symmetry} x{shards})");
-                assert_eq!(base.len(), g.len(), "{label}: node count");
-                for i in 0..base.len() {
-                    assert_eq!(base.config(i), g.config(i), "{label}: node {i}");
-                    assert_eq!(base.edges(i), g.edges(i), "{label}: edges of {i}");
-                }
-                assert_eq!(base.terminals(), g.terminals(), "{label}: terminals");
-                assert_verdicts_agree(&base, &g, &label);
             }
         }
     }
@@ -256,7 +223,7 @@ fn disk_store_quotient_identical() {
     // The disk-backed store must commute with the symmetry quotient: orbit
     // canonicalization runs in id space, and eviction never moves ids, so a
     // 4 KiB hot tier produces the same quotient graph as unbounded memory —
-    // across shard counts.
+    // with the level expansion split across threads or not.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
@@ -265,17 +232,17 @@ fn disk_store_quotient_identical() {
             let opts = ExploreOptions::default().with_symmetry(symmetry);
             let base = StateGraph::explore(&spec, &opts.clone().with_store(StoreBackend::Memory))
                 .expect("memory explore");
-            for shards in [1usize, 2] {
+            for threads in [1usize, 4] {
                 let g = StateGraph::explore(
                     &spec,
                     &opts
                         .clone()
-                        .with_shards(shards)
+                        .with_threads(threads)
                         .with_store(StoreBackend::Disk)
                         .with_store_budget(4 << 10),
                 )
                 .expect("disk explore");
-                let label = format!("{label} (symmetry={symmetry} disk x{shards})");
+                let label = format!("{label} (symmetry={symmetry} disk x{threads} threads)");
                 assert_eq!(base.len(), g.len(), "{label}: node count");
                 for i in 0..base.len() {
                     assert_eq!(base.config(i), g.config(i), "{label}: node {i}");

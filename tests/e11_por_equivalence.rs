@@ -186,7 +186,7 @@ fn reduction_terminals_match_reference_explorer() {
     // run in id space on the engine's own rows; whatever they prune, the
     // reduced graph must reach exactly the terminal configurations of the
     // naive reference BFS over the full graph (its quotient, with
-    // symmetry), for every thread and shard count.
+    // symmetry), for every thread count.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e1 sym n3 p3", grouped_system_sym(3, 0, 3)),
@@ -197,58 +197,15 @@ fn reduction_terminals_match_reference_explorer() {
         for symmetry in [false, true] {
             let r = reference::explore(&spec, symmetry, usize::MAX);
             for threads in [1usize, 4] {
-                for shards in [1usize, 2, 4] {
-                    let opts = ExploreOptions::default()
-                        .with_por(true)
-                        .with_symmetry(symmetry)
-                        .with_threads(threads)
-                        .with_shards(shards);
-                    let g = StateGraph::explore(&spec, &opts).expect("explore");
-                    let label = format!(
-                        "{label} (por, symmetry={symmetry} x{threads} threads x{shards} shards)"
-                    );
-                    assert!(g.is_por_reduced(), "{label}: reduction flag");
-                    assert!(g.len() <= r.configs.len(), "{label}: POR must not grow");
-                    reference::assert_same_terminals(&g, &r, &label);
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn sharded_reduction_identical_across_shard_counts() {
-    // All POR decisions — ample choice, sleep-set propagation, revisit
-    // wake-ups, cycle-proviso escalations — replay in the sharded
-    // explorer's sequential feedback phase in global tag order, so the
-    // reduced graph is node-for-node identical for every shard count,
-    // alone and composed with the symmetry quotient.
-    for (label, spec) in [
-        ("e1 sym p3", grouped_system_sym(2, 1, 3)),
-        ("e4 partition p3", partition_system(3, 2, 1)),
-        ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
-    ] {
-        for symmetry in [false, true] {
-            let opts = ExploreOptions::default()
-                .with_por(true)
-                .with_symmetry(symmetry);
-            let base = StateGraph::explore(&spec, &opts).expect("unsharded explore");
-            for shards in [2usize, 4] {
-                let g = StateGraph::explore(&spec, &opts.clone().with_shards(shards))
-                    .expect("sharded explore");
-                let label = format!("{label} (por, symmetry={symmetry} x{shards})");
-                assert_eq!(base.len(), g.len(), "{label}: node count");
-                for i in 0..base.len() {
-                    assert_eq!(base.config(i), g.config(i), "{label}: node {i}");
-                    assert_eq!(base.edges(i), g.edges(i), "{label}: edges of {i}");
-                }
-                assert_eq!(base.terminals(), g.terminals(), "{label}: terminals");
-                assert_eq!(
-                    base.is_por_reduced(),
-                    g.is_por_reduced(),
-                    "{label}: reduction flag"
-                );
-                assert_verdicts_agree(&base, &g, &label);
+                let opts = ExploreOptions::default()
+                    .with_por(true)
+                    .with_symmetry(symmetry)
+                    .with_threads(threads);
+                let g = StateGraph::explore(&spec, &opts).expect("explore");
+                let label = format!("{label} (por, symmetry={symmetry} x{threads} threads)");
+                assert!(g.is_por_reduced(), "{label}: reduction flag");
+                assert!(g.len() <= r.configs.len(), "{label}: POR must not grow");
+                reference::assert_same_terminals(&g, &r, &label);
             }
         }
     }
@@ -259,7 +216,8 @@ fn disk_store_reduction_identical() {
     // POR's sleep sets, ample choices and wake-up revisits all key on node
     // ids, which spill-and-reload never renumbers — so a 4 KiB hot tier
     // reproduces the reduced graph exactly, alone and composed with the
-    // symmetry quotient, across shard counts.
+    // symmetry quotient, with the level expansion split across threads or
+    // not.
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
@@ -270,17 +228,17 @@ fn disk_store_reduction_identical() {
                 .with_symmetry(symmetry);
             let base = StateGraph::explore(&spec, &opts.clone().with_store(StoreBackend::Memory))
                 .expect("memory explore");
-            for shards in [1usize, 2] {
+            for threads in [1usize, 4] {
                 let g = StateGraph::explore(
                     &spec,
                     &opts
                         .clone()
-                        .with_shards(shards)
+                        .with_threads(threads)
                         .with_store(StoreBackend::Disk)
                         .with_store_budget(4 << 10),
                 )
                 .expect("disk explore");
-                let label = format!("{label} (por, symmetry={symmetry} disk x{shards})");
+                let label = format!("{label} (por, symmetry={symmetry} disk x{threads} threads)");
                 assert_eq!(base.len(), g.len(), "{label}: node count");
                 for i in 0..base.len() {
                     assert_eq!(base.config(i), g.config(i), "{label}: node {i}");

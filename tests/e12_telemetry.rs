@@ -72,7 +72,7 @@ fn instrumented_graphs_identical_across_matrix() {
 fn persistent_sinks_invisible_across_matrix() {
     // The persistent observability sinks — run ledger, status file, level
     // trace — must be as invisible as the in-memory recorder: with all
-    // three installed at once, every symmetry × POR × shards × store
+    // three installed at once, every symmetry × POR × threads × store
     // combination reproduces the plain graph node-for-node, and every
     // artifact the run leaves behind parses with the in-tree JSON parser.
     let dir = std::env::temp_dir().join(format!("e12_sinks_{}", std::process::id()));
@@ -83,17 +83,18 @@ fn persistent_sinks_invisible_across_matrix() {
     let mut runs = 0usize;
     for symmetry in [false, true] {
         for por in [false, true] {
-            for (shards, store) in [
+            for (threads, store) in [
                 (1usize, StoreBackend::Memory),
-                (2, StoreBackend::Memory),
-                (2, StoreBackend::Disk),
+                (4, StoreBackend::Memory),
+                (1, StoreBackend::Disk),
+                (4, StoreBackend::Disk),
             ] {
-                let label = format!("sym={symmetry} por={por} shards={shards} store={store:?}");
+                let label = format!("sym={symmetry} por={por} threads={threads} store={store:?}");
                 let base_opts = ExploreOptions::default()
                     .with_symmetry(symmetry)
                     .with_por(por);
                 let plain = StateGraph::explore(&spec, &base_opts).unwrap();
-                let mut opts = base_opts.with_shards(shards).with_metrics(true);
+                let mut opts = base_opts.with_threads(threads).with_metrics(true);
                 if store == StoreBackend::Disk {
                     opts = opts
                         .with_store(StoreBackend::Disk)
@@ -151,7 +152,7 @@ fn persistent_sinks_invisible_across_matrix() {
             "outcome and metrics agree on the graph size"
         );
         let opts = v.get("options").expect("options");
-        assert!(opts.get("shards").and_then(JsonValue::as_u64).is_some());
+        assert!(opts.get("threads").and_then(JsonValue::as_u64).is_some());
         assert!(opts.get("store").and_then(JsonValue::as_str).is_some());
     }
     assert_eq!(hashes.len(), 1, "same spec, same fingerprint: {hashes:?}");
@@ -313,17 +314,17 @@ fn disk_store_metrics_reported_and_consistent() {
         "memory runs report no store metrics"
     );
     assert!(plain.metrics().to_json().contains("\"store\": null"));
-    for shards in [1usize, 2] {
+    for threads in [1usize, 4] {
         let opts = ExploreOptions::default()
-            .with_shards(shards)
+            .with_threads(threads)
             .with_store(StoreBackend::Disk)
             .with_store_budget(4 << 10)
             .with_metrics(true);
         let rec = Recorder::new().with_timing();
         let g = StateGraph::explore_with(&spec, &opts, &rec).unwrap();
-        assert_identical(&plain, &g, &format!("disk x{shards}"));
+        let label = format!("disk x{threads} threads");
+        assert_identical(&plain, &g, &label);
         let m = g.metrics();
-        let label = format!("disk x{shards}");
         // Eviction changes where rows live, never how many successors each
         // merge bucket absorbs.
         assert_eq!(
@@ -423,37 +424,30 @@ fn progress_callback_fires_per_interval() {
 }
 
 #[test]
-fn sharded_telemetry_invisible_and_consistent() {
-    // Instrumentation must stay invisible under the sharded explorer too,
-    // and the per-shard breakdowns must tile the graph: every node and
-    // edge attributed to exactly one shard, traffic conserved.
+fn threaded_telemetry_invisible_and_consistent() {
+    // Instrumentation must stay invisible when expansion workers share the
+    // recorder, and the counters they bump concurrently must still tile
+    // the graph: every generated successor lands in one merge bucket and
+    // the per-level records add up to the node and edge totals.
     let spec = grouped_system(2, 1, 3, true);
     for por in [false, true] {
         let base_opts = ExploreOptions::default().with_por(por);
         let plain = StateGraph::explore(&spec, &base_opts).unwrap();
-        let opts = base_opts.with_shards(4).with_metrics(true);
+        let opts = base_opts.with_threads(4).with_metrics(true);
         let rec = Recorder::new().with_timing().with_progress(1, |_| {});
         let g = StateGraph::explore_with(&spec, &opts, &rec).unwrap();
-        assert_identical(&plain, &g, &format!("sharded por={por}"));
+        let label = format!("threads=4 por={por}");
+        assert_identical(&plain, &g, &label);
         let m = g.metrics();
-        assert!(m.timed);
-        assert_eq!(m.generated, m.dedup_hits + m.added + m.capped);
-        assert_eq!(m.shards.len(), 4, "one breakdown per shard");
-        assert_eq!(m.shards.iter().map(|s| s.nodes).sum::<usize>(), g.len());
-        assert_eq!(
-            m.shards.iter().map(|s| s.edges).sum::<usize>(),
-            g.stats().edges
-        );
-        assert_eq!(
-            m.shards.iter().map(|s| s.sent).sum::<u64>(),
-            m.shards.iter().map(|s| s.received).sum::<u64>(),
-            "routed successors conserved"
-        );
-        assert_eq!(
-            m.shards.iter().map(|s| s.received).sum::<u64>(),
-            m.generated,
-            "every generated successor routed exactly once"
-        );
+        assert!(m.timed, "{label}");
+        assert_eq!(m.generated, m.dedup_hits + m.added + m.capped, "{label}");
+        assert_eq!(m.added + 1, g.len() as u64, "{label}: added + root");
+        let new_nodes: usize = m.levels.iter().map(|l| l.new_nodes).sum();
+        assert_eq!(new_nodes + 1, g.len(), "{label}: level new_nodes");
+        let items: u64 = m.levels.iter().map(|l| l.items as u64).sum();
+        assert_eq!(items, m.expansions, "{label}: level items = expansions");
+        let last = m.levels.last().expect("at least one level");
+        assert_eq!(last.edges_total, g.stats().edges, "{label}: edges_total");
     }
 }
 

@@ -49,11 +49,11 @@ fn parallel_graph_identical_on_grouped_fixtures() {
 }
 
 #[test]
-fn graph_matches_reference_explorer_across_threads_and_shards() {
+fn graph_matches_reference_explorer_across_threads() {
     // The explorer must reproduce the naive `HashMap<Config, usize>`
     // reference BFS node for node — configurations, edges, terminals,
-    // truncation — for every thread and shard count, with symmetry
-    // requested or not, and under a truncating configuration bound.
+    // truncation — for every thread count, with symmetry requested or
+    // not, and under a truncating configuration bound.
     for (n, k, procs) in [(2, 0, 2), (2, 1, 3), (3, 0, 3)] {
         let spec = grouped_system(n, k, procs);
         let full = reference::explore(&spec, false, usize::MAX).configs.len();
@@ -62,20 +62,16 @@ fn graph_matches_reference_explorer_across_threads_and_shards() {
                 let r = reference::explore(&spec, symmetry, max_configs);
                 assert_eq!(r.truncated, max_configs < full);
                 for threads in [1usize, 4] {
-                    for shards in [1usize, 2, 4] {
-                        let opts = ExploreOptions::with_max_configs(max_configs)
-                            .with_symmetry(symmetry)
-                            .with_threads(threads)
-                            .with_shards(shards);
-                        let g = StateGraph::explore(&spec, &opts).expect("explore");
-                        let label = format!(
-                            "({n},{k},{procs}) cap={max_configs} sym={symmetry} \
-                             x{threads} threads x{shards} shards"
-                        );
-                        reference::assert_matches(&g, &r, &label);
-                        let stats = g.interner_stats().expect("full graphs keep their arena");
-                        assert!(stats.object_states <= g.len(), "{label}");
-                    }
+                    let opts = ExploreOptions::with_max_configs(max_configs)
+                        .with_symmetry(symmetry)
+                        .with_threads(threads);
+                    let g = StateGraph::explore(&spec, &opts).expect("explore");
+                    let label = format!(
+                        "({n},{k},{procs}) cap={max_configs} sym={symmetry} x{threads} threads"
+                    );
+                    reference::assert_matches(&g, &r, &label);
+                    let stats = g.interner_stats().expect("full graphs keep their arena");
+                    assert!(stats.object_states <= g.len(), "{label}");
                 }
             }
         }
@@ -83,58 +79,14 @@ fn graph_matches_reference_explorer_across_threads_and_shards() {
 }
 
 #[test]
-fn sharded_graph_identical_on_grouped_fixtures() {
-    // The fingerprint-partitioned explorer must reproduce the single-store
-    // graph exactly — for every shard count, crossed with thread counts
-    // (which shape only the unsharded baseline).
-    for (n, k, procs) in [(2, 0, 2), (2, 1, 3), (3, 0, 3)] {
-        let spec = grouped_system(n, k, procs);
-        let base = StateGraph::explore(&spec, &ExploreOptions::default()).unwrap();
-        for shards in [2usize, 4] {
-            for threads in [1usize, 4] {
-                let opts = ExploreOptions::default()
-                    .with_shards(shards)
-                    .with_threads(threads);
-                let g = StateGraph::explore(&spec, &opts).unwrap();
-                assert_identical(
-                    &base,
-                    &g,
-                    &format!("({n},{k},{procs}) x{shards} shards x{threads} threads"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn sharded_interned_bytes_match_unsharded() {
-    // The freeze-time arena stitch must land on the exact single-interner
-    // representation: `approx_bytes` is diffed across `MC_SHARDS` values
-    // by scripts/bench_guard.sh, so any drift here is a CI failure too.
-    let spec = grouped_system(2, 1, 3);
-    let base = StateGraph::explore(&spec, &ExploreOptions::default()).unwrap();
-    for shards in [2usize, 4] {
-        let g = StateGraph::explore(&spec, &ExploreOptions::default().with_shards(shards)).unwrap();
-        assert_eq!(
-            g.approx_bytes(),
-            base.approx_bytes(),
-            "{shards} shards: stitched arena must cost what one arena costs"
-        );
-        let stats = g.interner_stats().expect("sharded interned store");
-        let base_stats = base.interner_stats().unwrap();
-        assert_eq!(stats.object_states, base_stats.object_states);
-        assert_eq!(stats.proc_states, base_stats.proc_states);
-    }
-}
-
-#[test]
 fn disk_store_graph_identical_and_reconstituted() {
     // The disk-backed store, forced to spill by a hot-tier budget far
     // below the fixture's footprint, must reproduce the in-memory graph
-    // node-for-node — across shard counts — and the freeze-time
-    // reconstitution must land on the exact in-memory representation
-    // (same `approx_bytes`, same interner arenas), because arenas are
-    // append-only and ids never move under eviction.
+    // node-for-node — with the level expansion split across threads or
+    // not — and the freeze-time reconstitution must land on the exact
+    // in-memory representation (same `approx_bytes`, same interner
+    // arenas), because arenas are append-only and ids never move under
+    // eviction.
     let spec = grouped_system(2, 1, 4);
     let base = StateGraph::explore(
         &spec,
@@ -142,17 +94,17 @@ fn disk_store_graph_identical_and_reconstituted() {
     )
     .unwrap();
     assert!(base.len() > 500, "fixture must dwarf the tiny budget");
-    for shards in [1usize, 2, 4] {
+    for threads in [1usize, 4] {
         let opts = ExploreOptions::default()
-            .with_shards(shards)
+            .with_threads(threads)
             .with_store(StoreBackend::Disk)
             .with_store_budget(16 << 10);
         let g = StateGraph::explore(&spec, &opts).unwrap();
-        assert_identical(&base, &g, &format!("disk x{shards} shards"));
+        assert_identical(&base, &g, &format!("disk x{threads} threads"));
         assert_eq!(
             g.approx_bytes(),
             base.approx_bytes(),
-            "{shards} shards: reconstituted store must cost what memory costs"
+            "{threads} threads: reconstituted store must cost what memory costs"
         );
         let stats = g.interner_stats().expect("disk store is interned");
         let base_stats = base.interner_stats().unwrap();
@@ -161,7 +113,7 @@ fn disk_store_graph_identical_and_reconstituted() {
         let sm = g.metrics().store.expect("disk runs report store metrics");
         assert!(
             sm.spilled_bytes > 0,
-            "{shards} shards: a 16 KiB budget must force spill"
+            "{threads} threads: a 16 KiB budget must force spill"
         );
     }
 }

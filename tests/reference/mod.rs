@@ -1,7 +1,7 @@
 //! A deliberately naive reference explorer for differential tests: a FIFO
 //! breadth-first search over deep [`Config`]s with a `HashMap<Config,
 //! usize>` visited set. It shares no code with `StateGraph::explore` — no
-//! interner, no id rows, no level merge, no shards, no POR — only the
+//! interner, no id rows, no level merge, no threads, no POR — only the
 //! stepping rules of [`SystemSpec`], and applies the explorer's documented
 //! graph rules:
 //!
