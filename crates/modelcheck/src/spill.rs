@@ -1,18 +1,17 @@
 //! Disk spill backend for the interned exploration store.
 //!
 //! The interned store is file-shaped already: node rows are fixed-stride
-//! `u32` id arrays appended in discovery order, arena ids are dense and
-//! append-only, and the fingerprint index is a flat `fp → ids` multimap.
-//! This module gives `RowStore` (see `graph.rs`) a bounded hot tier by spilling each of those to files under a
-//! per-exploration run directory:
+//! `u32` id arrays appended in discovery order, and the fingerprint index
+//! is a flat `fp → ids` multimap. Both grow with the number of
+//! configurations, so this module gives `RowStore` (see `graph.rs`) a
+//! bounded hot tier by spilling them to files under a per-exploration run
+//! directory. The interner arenas grow only with the number of *distinct*
+//! object and process states — a handful per slot for the paper's
+//! deterministic, oblivious objects — and always stay resident.
 //!
 //! * **rows** — one file holding the id rows of nodes `[0, hot_base)`, in
 //!   id order, so a spilled row is one positional read at
 //!   `id * stride * 4`;
-//! * **arena segments** — one framed file of encoded
-//!   [`ARENA_SEGMENT`](subconsensus_sim::ARENA_SEGMENT)-id segments
-//!   (object and proc interleaved as evicted). Arenas are append-only, so
-//!   a segment's encoding never changes and is written at most once;
 //! * **fingerprint index** — one file of `(fp, id)` pairs sorted by
 //!   `(fp, id)`, plus an in-memory *fence* array holding the first `fp` of
 //!   every [`INDEX_BLOCK`]-entry block. Draining the in-memory index sorts
@@ -140,8 +139,8 @@ fn timed<R>(rec: &Recorder, add: impl Fn(&Recorder, u64), op: impl FnOnce() -> R
     }
 }
 
-/// One store's spill state: the run directory, its three file families and
-/// the resident bookkeeping of what is currently reloaded or pinned.
+/// One store's spill state: the run directory, its two file families and
+/// the rows currently reloaded.
 pub(crate) struct Spill {
     dir: RunDir,
     /// Hot-tier budget the owning store evicts against.
@@ -155,17 +154,6 @@ pub(crate) struct Spill {
     /// Spilled rows faulted back for the current level (frontier pins plus
     /// merge-time dedup faults); cleared at every level boundary.
     reloaded: HashMap<usize, Box<[u32]>>,
-    seg_file: File,
-    seg_pos: u64,
-    /// `(offset, len)` of each written object segment frame, by segment.
-    obj_frames: Vec<Option<(u64, u32)>>,
-    proc_frames: Vec<Option<(u64, u32)>>,
-    /// Level stamp of each segment's last pin — the eviction policy's LRU
-    /// key (`0` = never pinned).
-    pub(crate) obj_pin: Vec<u64>,
-    pub(crate) proc_pin: Vec<u64>,
-    /// Monotone level counter advanced by the store's `begin_level`.
-    pub(crate) level: u64,
     /// The two files a drain alternates between, each created on first
     /// use: `idx_files[idx_active]` holds the spilled fingerprint index,
     /// `idx_len` `(fp, id)` entries sorted by `(fp, id)`; a drain merges it
@@ -184,7 +172,6 @@ impl Spill {
     pub(crate) fn new(stride: usize, budget: usize) -> Spill {
         let dir = RunDir::create();
         let rows_file = create_file(&dir, "rows.bin");
-        let seg_file = create_file(&dir, "segments.bin");
         Spill {
             dir,
             budget,
@@ -192,13 +179,6 @@ impl Spill {
             rows_file,
             hot_base: 0,
             reloaded: HashMap::new(),
-            seg_file,
-            seg_pos: 0,
-            obj_frames: Vec::new(),
-            proc_frames: Vec::new(),
-            obj_pin: Vec::new(),
-            proc_pin: Vec::new(),
-            level: 0,
             idx_files: [None, None],
             idx_active: 0,
             idx_len: 0,
@@ -260,71 +240,6 @@ impl Spill {
     /// Resident bytes of the reloaded-row tier.
     pub(crate) fn reloaded_bytes(&self) -> usize {
         self.reloaded.len() * (self.stride * 4 + std::mem::size_of::<usize>() * 2)
-    }
-
-    fn frames(&self, procs: bool) -> &Vec<Option<(u64, u32)>> {
-        if procs {
-            &self.proc_frames
-        } else {
-            &self.obj_frames
-        }
-    }
-
-    /// Whether the `(procs, seg)` arena segment has been written.
-    pub(crate) fn has_segment(&self, procs: bool, seg: usize) -> bool {
-        self.frames(procs).get(seg).is_some_and(|f| f.is_some())
-    }
-
-    /// Writes one encoded arena segment (first eviction only — arenas are
-    /// append-only, so the encoding of a complete segment never changes).
-    pub(crate) fn write_segment(&mut self, procs: bool, seg: usize, bytes: &[u8], rec: &Recorder) {
-        if self.has_segment(procs, seg) {
-            return;
-        }
-        let off = self.seg_pos;
-        timed(rec, Recorder::add_spill_write_ns, || {
-            write_at(&self.seg_file, off, bytes, "segment");
-        });
-        self.seg_pos += bytes.len() as u64;
-        let frames = if procs {
-            &mut self.proc_frames
-        } else {
-            &mut self.obj_frames
-        };
-        if frames.len() <= seg {
-            frames.resize(seg + 1, None);
-        }
-        frames[seg] = Some((
-            off,
-            u32::try_from(bytes.len()).expect("segment frame too large"),
-        ));
-        rec.count_spilled_bytes(bytes.len() as u64);
-    }
-
-    /// Reads back one written arena segment.
-    pub(crate) fn read_segment(&self, procs: bool, seg: usize, rec: &Recorder) -> Vec<u8> {
-        let (off, len) = self.frames(procs)[seg].expect("reading a segment never written");
-        let mut bytes = vec![0u8; len as usize];
-        timed(rec, Recorder::add_spill_read_ns, || {
-            read_at(&self.seg_file, off, &mut bytes, "segment");
-        });
-        rec.count_store_reloads(1);
-        bytes
-    }
-
-    /// Stamps `(procs, seg)` as pinned at the current level (the LRU key
-    /// eviction sorts by).
-    pub(crate) fn pin_segment(&mut self, procs: bool, seg: usize) {
-        let level = self.level;
-        let pins = if procs {
-            &mut self.proc_pin
-        } else {
-            &mut self.obj_pin
-        };
-        if pins.len() <= seg {
-            pins.resize(seg + 1, 0);
-        }
-        pins[seg] = level;
     }
 
     /// Moves every entry of the in-memory fingerprint index to the spilled
@@ -533,21 +448,6 @@ mod tests {
         assert_eq!(spill.read_all_rows(&rec), vec![1, 2, 3, 4, 5, 6]);
         drop(spill);
         assert!(!dir.exists(), "run dir must be removed on drop");
-    }
-
-    #[test]
-    fn segments_write_once_and_read_back() {
-        let rec = Recorder::new();
-        let mut spill = Spill::new(2, 1024);
-        assert!(!spill.has_segment(false, 0));
-        spill.write_segment(false, 0, b"abc", &rec);
-        spill.write_segment(true, 0, b"xyzw", &rec);
-        // Re-writing is a no-op: the first frame stays authoritative.
-        spill.write_segment(false, 0, b"IGNORED", &rec);
-        assert!(spill.has_segment(false, 0));
-        assert!(!spill.has_segment(false, 1));
-        assert_eq!(spill.read_segment(false, 0, &rec), b"abc");
-        assert_eq!(spill.read_segment(true, 0, &rec), b"xyzw");
     }
 
     /// Probes `fp`, checking the read is bounded: at most one positional

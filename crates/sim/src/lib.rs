@@ -100,7 +100,7 @@ pub use error::{ObjectError, ProtocolError, SimError};
 pub use history::{History, HistoryError, HistoryEvent, OpId, OpRecord};
 pub use ids::{ObjId, Pid};
 pub use implementation::{ImplStep, Implementation};
-pub use intern::{CompactConfig, InternerStats, PendingConfig, StateInterner, ARENA_SEGMENT};
+pub use intern::{CompactConfig, InternerStats, PendingConfig, StateInterner};
 pub use linearize::{check_linearizable, is_linearizable, LinearizeError, MAX_OPS};
 pub use metrics::{
     env_flag, git_revision, mc_env_json, unix_time_ms, warn_once, ExploreMetrics, LevelMetrics,

@@ -34,7 +34,8 @@
 //!   identical exploration logic and build node-for-node identical graphs.
 //! * **Timers are opt-in**: every `time_*` method returns `None` (no
 //!   `Instant::now()` call, no syscall) unless timing was requested via
-//!   [`Recorder::with_timing`] or the `MC_PROGRESS`/`MC_TRACE` env vars.
+//!   [`Recorder::with_timing`] or the `MC_PROGRESS`, `MC_TRACE`,
+//!   `MC_STATUS_FILE`, `MC_RUN_LOG` or `MC_STORE_DIR` env vars.
 //!
 //! The recorder has no methods that *return* state to the explorer, so by
 //! construction it cannot branch exploration decisions.
@@ -220,17 +221,18 @@ impl TruncationCause {
 /// are always on; the `*_ns` fields follow the recorder's timing flag.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreMetrics {
-    /// Bytes written to spill files (rows, arena segments, and every
-    /// rewrite of the sorted fingerprint index).
+    /// Bytes written to spill files (node rows, and every rewrite of the
+    /// sorted fingerprint index).
     pub spilled_bytes: u64,
-    /// Cold reads back into the hot tier (row faults + segment restores).
+    /// Cold reads back into the hot tier: row faults, plus the one
+    /// freeze-time read of the spilled row prefix.
     pub reload_count: u64,
     /// Positional reads of the spilled fingerprint index (one per dedup
     /// probe whose fingerprint falls inside the spilled range).
     pub index_reads: u64,
-    /// Row/segment accesses served from the hot tier.
+    /// Row accesses served from the hot tier.
     pub hot_hits: u64,
-    /// Row/segment accesses that had to fault from disk.
+    /// Row accesses that had to fault from disk.
     pub hot_misses: u64,
     /// Wall time writing spill files (timed runs only).
     pub spill_write_ns: u64,
@@ -384,8 +386,9 @@ impl fmt::Display for ProgressReport {
 /// Counter fields are always populated; the `*_ns` phase times are zero
 /// unless the exploration ran with timing on (`timed`) — via
 /// [`ExploreOptions::metrics`](../subconsensus_modelcheck/struct.ExploreOptions.html),
-/// an explicit instrumented [`Recorder`], or the `MC_PROGRESS`/`MC_TRACE`
-/// env vars.
+/// an explicit instrumented [`Recorder`], or any of the `MC_PROGRESS`,
+/// `MC_TRACE`, `MC_STATUS_FILE` and `MC_RUN_LOG` env vars (`MC_STORE_DIR`
+/// alone counts too: it turns on the run ledger).
 #[derive(Clone, Debug, Default)]
 pub struct ExploreMetrics {
     /// Wall time stepping successors (worker side).
@@ -577,7 +580,8 @@ impl fmt::Display for ExploreMetrics {
         } else {
             writeln!(
                 f,
-                "phases: untimed (enable ExploreOptions::metrics or MC_PROGRESS)"
+                "phases: untimed (enable ExploreOptions::metrics, MC_PROGRESS, \
+                 MC_TRACE, MC_STATUS_FILE, MC_RUN_LOG or MC_STORE_DIR)"
             )?;
         }
         write!(f, "peak memory ≈ {} bytes", self.peak_bytes)?;
@@ -1122,8 +1126,8 @@ impl Recorder {
         self.spilled_bytes.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts cold reads back into the hot tier (row faults + segment
-    /// restores).
+    /// Counts cold reads back into the hot tier (row faults and the
+    /// freeze-time row read).
     pub fn count_store_reloads(&self, n: u64) {
         self.store_reloads.fetch_add(n, Ordering::Relaxed);
     }

@@ -27,16 +27,16 @@
 #
 # 3. Disk-store equivalence: the smoke bench runs once more with
 #    MC_STORE=disk and a 64 KiB hot-tier budget, so every Auto-backend
-#    exploration spills cold arenas, frontier rows and the fingerprint
-#    index to disk. The GUARD and VERDICT lines must be byte-identical
-#    to the in-memory run (spilling must never change the explored graph
-#    or its frozen footprint), at least one SPILL line must report
-#    nonzero spilled bytes (the explicit disk rows with their tiny
-#    budget), at least one must report nonzero index reads (so the
-#    identity above covers dedup probes against a drained, sorted
-#    fingerprint index), and no mc-spill-* run directory may survive the
-#    run. INTERNER lines are deliberately NOT diffed: eviction inflates
-#    the arenas' miss counters without touching the graph.
+#    exploration spills frontier rows and the fingerprint index to disk
+#    (interned states always stay resident). The GUARD, VERDICT and
+#    INTERNER lines must be byte-identical to the in-memory run
+#    (spilling must never change the explored graph, its frozen
+#    footprint or the interner's arenas and hit counters), at least one
+#    SPILL line must report nonzero spilled bytes (the explicit disk rows
+#    with their tiny budget), at least one must report nonzero index
+#    reads (so the identity above covers dedup probes against a drained,
+#    sorted fingerprint index), and no mc-spill-* run directory may
+#    survive the run.
 #
 # 4. mc-report diff self-consistency: `mc-report diff` on the committed
 #    baseline against itself must report zero regressions and exit 0,
@@ -45,8 +45,9 @@
 #    so the analysis CLI the other gates and humans lean on cannot
 #    silently stop seeing regressions.
 #
-# With INTERNER_STATS=1 the smoke run's per-row hash-consing arena
-# summaries are forwarded to stdout.
+# Both smoke runs set INTERNER_STATS=1 so gate 3 can diff the per-row
+# hash-consing arena summaries; they are forwarded to stdout only when
+# the caller set INTERNER_STATS=1.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,14 +61,16 @@ if grep -q '"dirty": true' "$BASELINE"; then
   exit 1
 fi
 
-raw=$(BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|INTERNER|VERDICT) ' || true)
+caller_interner_stats="${INTERNER_STATS:-}"
+raw=$(INTERNER_STATS=1 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|INTERNER|VERDICT) ' || true)
 fresh=$(grep '^GUARD ' <<<"$raw" || true)
 if [[ -z "$fresh" ]]; then
   echo "bench_guard: smoke run produced no GUARD lines" >&2
   exit 1
 fi
-# Arena summaries (emitted only under INTERNER_STATS=1).
-grep '^INTERNER ' <<<"$raw" || true
+if [[ -n "$caller_interner_stats" && "$caller_interner_stats" != "0" ]]; then
+  grep '^INTERNER ' <<<"$raw" || true
+fi
 
 # Gate 1: compare the GUARD facts against the committed baseline.
 fail=0
@@ -143,18 +146,22 @@ echo "bench_guard: verdict goal OK ($(wc -l <<<"$fresh_v") VERDICT lines, early 
 
 # Gate 3: disk-store equivalence. Route every Auto-backend exploration
 # through the disk store with a hot tier small enough that the large
-# fixtures actually spill; the explored graphs — and the frozen,
-# unspilled footprints behind approx_bytes_per_config — must be
-# byte-identical to the in-memory run.
-disk_raw=$(MC_STORE=disk MC_STORE_BUDGET=65536 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|VERDICT|SPILL) ' || true)
-disk_g=$(grep -E '^(GUARD|VERDICT) ' <<<"$disk_raw" || true)
-mem_g=$(grep -E '^(GUARD|VERDICT) ' <<<"$raw" || true)
+# fixtures actually spill; the explored graphs — the frozen, unspilled
+# footprints behind approx_bytes_per_config and the interner counters
+# included — must be byte-identical to the in-memory run.
+disk_raw=$(MC_STORE=disk MC_STORE_BUDGET=65536 INTERNER_STATS=1 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|INTERNER|VERDICT|SPILL) ' || true)
+disk_g=$(grep -E '^(GUARD|INTERNER|VERDICT) ' <<<"$disk_raw" || true)
+mem_g=$(grep -E '^(GUARD|INTERNER|VERDICT) ' <<<"$raw" || true)
 if [[ -z "$disk_g" ]]; then
   echo "bench_guard: MC_STORE=disk smoke run produced no GUARD lines" >&2
   exit 1
 fi
+if ! grep -q '^INTERNER ' <<<"$disk_g"; then
+  echo "bench_guard: MC_STORE=disk smoke run produced no INTERNER lines" >&2
+  exit 1
+fi
 if ! diff <(echo "$mem_g") <(echo "$disk_g") >/dev/null; then
-  echo "bench_guard: FAILED — GUARD/VERDICT lines diverge between MC_STORE=disk and memory:"
+  echo "bench_guard: FAILED — GUARD/INTERNER/VERDICT lines diverge between MC_STORE=disk and memory:"
   diff <(echo "$mem_g") <(echo "$disk_g") | sed 's/^/bench_guard:   /' || true
   exit 1
 fi
@@ -185,7 +192,7 @@ if [[ -n "$leftover" ]]; then
   sed 's/^/bench_guard:   /' <<<"$leftover" >&2
   exit 1
 fi
-echo "bench_guard: disk store OK (GUARD/VERDICT identical under MC_STORE=disk, $spilled SPILL rows, $probed with index reads, run dirs cleaned)"
+echo "bench_guard: disk store OK (GUARD/INTERNER/VERDICT identical under MC_STORE=disk, $spilled SPILL rows, $probed with index reads, run dirs cleaned)"
 
 # Gate 4: the mc-report diff gate must itself work. Identical files diff
 # clean (exit 0, zero regressions); a copy with one completing row

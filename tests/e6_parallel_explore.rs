@@ -85,36 +85,44 @@ fn disk_store_graph_identical_and_reconstituted() {
     // node-for-node — with the level expansion split across threads or
     // not — and the freeze-time reconstitution must land on the exact
     // in-memory representation (same `approx_bytes`, same interner
-    // arenas), because arenas are append-only and ids never move under
-    // eviction.
-    let spec = grouped_system(2, 1, 4);
-    let base = StateGraph::explore(
-        &spec,
-        &ExploreOptions::default().with_store(StoreBackend::Memory),
-    )
-    .unwrap();
-    assert!(base.len() > 500, "fixture must dwarf the tiny budget");
-    for threads in [1usize, 4] {
-        let opts = ExploreOptions::default()
-            .with_threads(threads)
-            .with_store(StoreBackend::Disk)
-            .with_store_budget(16 << 10);
-        let g = StateGraph::explore(&spec, &opts).unwrap();
-        assert_identical(&base, &g, &format!("disk x{threads} threads"));
-        assert_eq!(
-            g.approx_bytes(),
-            base.approx_bytes(),
-            "{threads} threads: reconstituted store must cost what memory costs"
-        );
-        let stats = g.interner_stats().expect("disk store is interned");
+    // arenas and counters). The second fixture's interned states alone
+    // outgrow the budget: they stay resident while rows and index spill.
+    const BUDGET: usize = 16 << 10;
+    for (procs, arenas_over_budget) in [(4, false), (5, true)] {
+        let spec = grouped_system(2, 1, procs);
+        let base = StateGraph::explore(
+            &spec,
+            &ExploreOptions::default().with_store(StoreBackend::Memory),
+        )
+        .unwrap();
+        assert!(base.len() > 500, "fixture must dwarf the tiny budget");
         let base_stats = base.interner_stats().unwrap();
-        assert_eq!(stats.object_states, base_stats.object_states);
-        assert_eq!(stats.proc_states, base_stats.proc_states);
-        let sm = g.metrics().store.expect("disk runs report store metrics");
-        assert!(
-            sm.spilled_bytes > 0,
-            "{threads} threads: a 16 KiB budget must force spill"
+        assert_eq!(
+            base_stats.table_bytes + base_stats.state_bytes > BUDGET,
+            arenas_over_budget,
+            "p{procs}: {base_stats}"
         );
+        for threads in [1usize, 4] {
+            let opts = ExploreOptions::default()
+                .with_threads(threads)
+                .with_store(StoreBackend::Disk)
+                .with_store_budget(BUDGET);
+            let g = StateGraph::explore(&spec, &opts).unwrap();
+            let label = format!("p{procs} disk x{threads} threads");
+            assert_identical(&base, &g, &label);
+            assert_eq!(
+                g.approx_bytes(),
+                base.approx_bytes(),
+                "{label}: reconstituted store must cost what memory costs"
+            );
+            let stats = g.interner_stats().expect("disk store is interned");
+            assert_eq!(stats, base_stats, "{label}: interner stats");
+            let sm = g.metrics().store.expect("disk runs report store metrics");
+            assert!(
+                sm.spilled_bytes > 0,
+                "{label}: a 16 KiB budget must force spill"
+            );
+        }
     }
 }
 
