@@ -3,10 +3,12 @@
 //! The container this repo builds in has no network access to crates.io, so
 //! the benches use this std-only harness exposing the small slice of
 //! criterion's surface they need: [`Criterion`], [`BenchmarkGroup`],
-//! [`BenchmarkId`], [`Bencher`] and the [`criterion_group!`] /
-//! [`criterion_main!`] macros. Timing is wall-clock: a short warm-up, then
-//! `sample_size` samples of an adaptively sized iteration batch, reporting
-//! the median and min/max nanoseconds per iteration.
+//! [`BenchmarkId`], [`Bencher`] and the
+//! [`criterion_group!`](crate::criterion_group) /
+//! [`criterion_main!`](crate::criterion_main) macros. Timing is wall-clock:
+//! a short warm-up, then `sample_size` samples of an adaptively sized
+//! iteration batch, reporting the median and min/max nanoseconds per
+//! iteration.
 
 use std::fmt;
 use std::time::{Duration, Instant};

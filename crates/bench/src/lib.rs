@@ -246,7 +246,7 @@ impl Protocol for GateSpin {
     }
 }
 
-/// A one-block [`GateSpin`] gate over a `GroupedObject::for_level(n, k)`:
+/// A one-block `GateSpin` gate over a `GroupedObject::for_level(n, k)`:
 /// pid 0 proposes and raises the flag, the `procs - 1` equal-input
 /// spinners poll it. The spinners form one explicit symmetry group (the
 /// protocol reads `ctx.pid` to pick its role, so the automatic rule sees
@@ -279,7 +279,7 @@ pub fn grouped_gate_sym(n: usize, k: usize, procs: usize) -> SystemSpec {
 
 /// The partitioned sibling of [`grouped_gate_sym`]: `blocks` blocks of
 /// `group` processes, each block with its own `Consensus::bounded(m)` and
-/// its own flag register, writer and spinners as in [`GateSpin`]. The
+/// its own flag register, writer and spinners as in `GateSpin`. The
 /// per-block spinner symmetry is declared explicitly, as in
 /// [`partition_system_sym`].
 ///

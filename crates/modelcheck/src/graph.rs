@@ -25,7 +25,7 @@
 //!
 //! With [`ExploreOptions::por`], exploration prunes redundant interleavings
 //! of *independent* steps (steps that commute — see
-//! [`SystemSpec::footprints_independent`]) instead of generating them and
+//! [`SystemSpec::compact_footprints_independent`]) instead of generating them and
 //! letting the dedup index merge their endpoints:
 //!
 //! * **Ample (persistent) sets** shrink the state count: at each new
@@ -418,30 +418,9 @@ impl RowStore {
         self.interner.enabled_bits(self.nobjects, self.row(i))
     }
 
-    /// Streaming-verdict facts of terminal node `i` (decided values, hung /
-    /// undecided classification), read off the id row — no deep `Config`
-    /// is materialized.
+    /// Streaming-verdict facts of terminal node `i`, read off its id row.
     fn terminal_facts(&self, i: usize) -> TerminalFacts {
-        let mut decided: Vec<Value> = Vec::new();
-        let mut any_hung = false;
-        let mut all_decided = true;
-        for &id in &self.row(i)[self.nobjects..] {
-            match &self.interner.proc(id).status {
-                ProcStatus::Decided(v) => decided.push(v.clone()),
-                ProcStatus::Hung => {
-                    any_hung = true;
-                    all_decided = false;
-                }
-                ProcStatus::Fresh | ProcStatus::Running => all_decided = false,
-            }
-        }
-        decided.sort();
-        decided.dedup();
-        TerminalFacts {
-            decided,
-            any_hung,
-            all_decided,
-        }
+        TerminalFacts::of_procs(&self.interner, &self.row(i)[self.nobjects..])
     }
 
     /// All successors of stepping `pid` at node `i`, canonicalized when
@@ -1589,6 +1568,13 @@ impl<'g> NodeView<'g> {
         vals.sort();
         vals.dedup();
         vals
+    }
+
+    /// The decided values and the hung / undecided classification of
+    /// this node, as the streaming verdict engine sees a terminal.
+    pub(crate) fn terminal_facts(&self) -> TerminalFacts {
+        let row = self.nodes.row(self.index);
+        TerminalFacts::of_procs(&self.nodes.interner, &row[self.nodes.nobjects..])
     }
 
     /// The full configuration, materialized on demand — per-probe cost

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use subconsensus_sim::{ProcStatus, Recorder, Value};
+use subconsensus_sim::{Recorder, Value};
 
 use crate::graph::StateGraph;
 
@@ -34,43 +34,28 @@ pub struct TerminalReport {
 impl TerminalReport {
     /// Computes the report from an explored graph.
     ///
-    /// Terminal probes are id-native ([`StateGraph::node`]): statuses are
-    /// read straight from the store's id rows, no per-terminal `Config`
-    /// materialization.
+    /// Terminal probes are id-native: each terminal is classified straight
+    /// from its id row, by the same function the streaming verdict engine
+    /// uses, with no per-terminal `Config` materialization.
     pub fn of(graph: &StateGraph) -> Self {
-        let mut all_decide = true;
+        let terminals = graph.terminals();
+        let mut all_processes_decide = !terminals.is_empty();
         let mut any_hung = false;
         let mut decision_sets = BTreeSet::new();
-        let mut max_d = 0;
-        let mut min_d = usize::MAX;
-        for &t in graph.terminals() {
-            let cfg = graph.node(t);
-            for pid in 0..cfg.nprocs() {
-                match cfg.status(subconsensus_sim::Pid::new(pid)) {
-                    ProcStatus::Decided(_) => {}
-                    ProcStatus::Hung => {
-                        any_hung = true;
-                        all_decide = false;
-                    }
-                    _ => all_decide = false,
-                }
-            }
-            let vals = cfg.decided_values();
-            max_d = max_d.max(vals.len());
-            min_d = min_d.min(vals.len());
-            decision_sets.insert(vals);
+        for &t in terminals {
+            let facts = graph.node(t).terminal_facts();
+            all_processes_decide &= facts.all_decided;
+            any_hung |= facts.any_hung;
+            decision_sets.insert(facts.decided);
         }
-        if graph.terminals().is_empty() {
-            all_decide = false;
-            min_d = 0;
-        }
+        let sizes = || decision_sets.iter().map(Vec::len);
         TerminalReport {
-            terminals: graph.terminals().len(),
-            all_processes_decide: all_decide,
+            terminals: terminals.len(),
+            all_processes_decide,
             any_hung,
+            max_distinct_decisions: sizes().max().unwrap_or(0),
+            min_distinct_decisions: sizes().min().unwrap_or(0),
             decision_sets,
-            max_distinct_decisions: max_d,
-            min_distinct_decisions: min_d,
         }
     }
 }
@@ -96,6 +81,21 @@ impl WaitFreedom {
     pub fn is_wait_free(&self) -> bool {
         matches!(self, WaitFreedom::WaitFree)
     }
+
+    /// The refuting verdict, in precedence order Diverges → Hangs → Stuck,
+    /// or `None` when nothing refutes wait-freedom. Shared by
+    /// [`check_wait_freedom`] and the streaming verdict engine.
+    pub(crate) fn refuted(cycle: bool, any_hung: bool, any_stuck: bool) -> Option<Self> {
+        if cycle {
+            Some(WaitFreedom::Diverges)
+        } else if any_hung {
+            Some(WaitFreedom::Hangs)
+        } else if any_stuck {
+            Some(WaitFreedom::Stuck)
+        } else {
+            None
+        }
+    }
 }
 
 /// Checks wait-freedom of an exhaustively explored (non-truncated) system:
@@ -105,17 +105,16 @@ impl WaitFreedom {
 /// per the paper's observation that for tasks non-blocking and wait-free
 /// solvability coincide — also non-blocking solvability.
 pub fn check_wait_freedom(graph: &StateGraph) -> WaitFreedom {
-    if graph.has_cycle() {
-        return WaitFreedom::Diverges;
-    }
-    let report = TerminalReport::of(graph);
-    if report.all_processes_decide {
-        WaitFreedom::WaitFree
-    } else if report.any_hung {
-        WaitFreedom::Hangs
+    let cycle = graph.has_cycle();
+    let (any_hung, any_stuck) = if cycle {
+        (false, false)
     } else {
-        WaitFreedom::Stuck
-    }
+        // A graph with no terminal has `all_processes_decide` false too,
+        // so it answers Stuck.
+        let report = TerminalReport::of(graph);
+        (report.any_hung, !report.all_processes_decide)
+    };
+    WaitFreedom::refuted(cycle, any_hung, any_stuck).unwrap_or(WaitFreedom::WaitFree)
 }
 
 /// Returns the maximum number of distinct decided values over every possible

@@ -44,7 +44,7 @@
 
 use std::collections::BTreeSet;
 
-use subconsensus_sim::Value;
+use subconsensus_sim::{ProcStatus, StateInterner, Value};
 
 use crate::properties::WaitFreedom;
 
@@ -302,6 +302,35 @@ pub(crate) struct TerminalFacts {
     pub all_decided: bool,
 }
 
+impl TerminalFacts {
+    /// Classifies the interned process states `procs` (the process part of
+    /// a node's id row) without materializing a `Config` — the one
+    /// terminal classification behind both the streaming verdict and
+    /// [`TerminalReport`](crate::TerminalReport).
+    pub(crate) fn of_procs(interner: &StateInterner, procs: &[u32]) -> Self {
+        let mut decided: Vec<Value> = Vec::new();
+        let mut any_hung = false;
+        let mut all_decided = true;
+        for &id in procs {
+            match &interner.proc(id).status {
+                ProcStatus::Decided(v) => decided.push(v.clone()),
+                ProcStatus::Hung => {
+                    any_hung = true;
+                    all_decided = false;
+                }
+                ProcStatus::Fresh | ProcStatus::Running => all_decided = false,
+            }
+        }
+        decided.sort();
+        decided.dedup();
+        TerminalFacts {
+            decided,
+            any_hung,
+            all_decided,
+        }
+    }
+}
+
 /// The in-flight accumulator `explore_core` feeds.
 ///
 /// All state transitions are commutative (max, union, monotone bools), so
@@ -425,23 +454,16 @@ impl VerdictEngine {
         configs: usize,
     ) -> StreamingVerdict {
         let complete = truncated_cap.is_none() && !early;
-        let wait_freedom = if self.cycle_confirmed {
-            Some(WaitFreedom::Diverges)
-        } else if self.any_hung {
-            Some(WaitFreedom::Hangs)
-        } else if self.any_stuck {
-            Some(WaitFreedom::Stuck)
-        } else if complete && (self.query.wait_freedom || !self.ever_candidate) {
-            // No per-terminal refutation, and acyclicity is actually
-            // concluded: either no retreating candidate ever appeared (the
-            // depth argument then proves acyclicity with no DFS at all), or
-            // wait-freedom was queried and the explorer ran the final cycle
-            // check before calling `finish`. With candidates but no query,
-            // no check ever ran — stay undecided rather than guess.
-            Some(WaitFreedom::WaitFree)
-        } else {
-            None
-        };
+        // Without a refutation, wait-freedom holds only once acyclicity is
+        // actually concluded: either no retreating candidate ever appeared
+        // (the depth argument then proves acyclicity with no DFS at all),
+        // or wait-freedom was queried and the explorer ran the final cycle
+        // check before calling `finish`. With candidates but no query, no
+        // check ever ran — stay undecided rather than guess.
+        let acyclic = complete && (self.query.wait_freedom || !self.ever_candidate);
+        let wait_freedom =
+            WaitFreedom::refuted(self.cycle_confirmed, self.any_hung, self.any_stuck)
+                .or(acyclic.then_some(WaitFreedom::WaitFree));
         let cause = if early {
             VerdictCause::EarlyExit {
                 reason: self.refutation().unwrap_or("query refuted"),

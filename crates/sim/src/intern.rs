@@ -162,7 +162,10 @@ impl<T: Eq + Hash> Pool<T> {
 /// let spec = b.build();
 /// let mut interner = StateInterner::new();
 /// let compact = interner.intern_config(&spec.initial_config());
-/// assert_eq!(compact.materialize(&interner), spec.initial_config());
+/// assert_eq!(
+///     interner.materialize_words(compact.nobjects(), compact.words()),
+///     spec.initial_config()
+/// );
 /// // Re-interning an equal configuration yields identical id words.
 /// assert_eq!(interner.intern_config(&spec.initial_config()), compact);
 /// ```
@@ -306,7 +309,7 @@ impl StateInterner {
         let procs = &words[nobjects..];
         assert!(
             procs.len() <= 64,
-            "EnabledSet supports at most 64 processes"
+            "the explorer supports at most 64 processes"
         );
         let mut bits = 0u64;
         for (i, &id) in procs.iter().enumerate() {
@@ -427,12 +430,6 @@ impl CompactConfig {
     /// The number of process slots.
     pub fn nprocs(&self) -> usize {
         self.words.len() - self.nobjects()
-    }
-
-    /// Rebuilds the deep [`Config`] (see
-    /// [`StateInterner::materialize_words`]).
-    pub fn materialize(&self, interner: &StateInterner) -> Config {
-        interner.materialize_words(self.nobjects(), &self.words)
     }
 }
 

@@ -117,8 +117,8 @@ pub use sched::{
     ReplayChooser, ReplayScheduler, RoundRobin, Scheduler,
 };
 pub use system::{
-    Config, EnabledIter, EnabledSet, ProcState, ProcStatus, StepFootprint, StepInfo,
-    SymmetryGroups, SystemBuilder, SystemSpec,
+    Config, ProcState, ProcStatus, StepFootprint, StepInfo, SymmetryGroups, SystemBuilder,
+    SystemSpec,
 };
 pub use trace::{Trace, TraceEvent};
 pub use value::Value;

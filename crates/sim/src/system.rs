@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use crate::error::SimError;
 use crate::ids::{ObjId, Pid};
-use crate::intern::{CompactConfig, PendingConfig, StateInterner};
+use crate::intern::{PendingConfig, StateInterner};
 use crate::object::ObjectSpec;
 use crate::op::Op;
 use crate::protocol::{Action, ProcCtx, Protocol};
@@ -22,7 +22,7 @@ use crate::value::Value;
 ///
 /// The derived total order ([`Ord`]) has no semantic meaning; it exists so
 /// process states can be sorted into a canonical arrangement by
-/// [`Config::canonicalize`].
+/// [`SystemSpec::canonicalize_config`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProcStatus {
     /// The process has not yet taken its first step.
@@ -53,8 +53,8 @@ impl ProcStatus {
 /// The state of one process inside a [`Config`].
 ///
 /// The derived total order ([`Ord`]) is an arbitrary but fixed tie-breaker
-/// used by [`Config::canonicalize`] to pick one representative per
-/// symmetry orbit; it carries no semantic meaning.
+/// used by [`SystemSpec::canonicalize_config`] to pick one representative
+/// per symmetry orbit; it carries no semantic meaning.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProcState {
     /// The protocol-local state.
@@ -64,80 +64,6 @@ pub struct ProcState {
     /// The execution status.
     pub status: ProcStatus,
 }
-
-/// A word-sized set of process ids, iterated in ascending order.
-///
-/// The allocation-free replacement for collecting enabled pids into a
-/// `Vec<Pid>` on the model checker's hot path. Capped at 64 processes —
-/// far beyond anything an exhaustive state-space exploration can handle.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EnabledSet {
-    bits: u64,
-}
-
-impl EnabledSet {
-    /// Returns `true` if no process is in the set.
-    pub fn is_empty(self) -> bool {
-        self.bits == 0
-    }
-
-    /// Returns the number of processes in the set.
-    pub fn len(self) -> usize {
-        self.bits.count_ones() as usize
-    }
-
-    /// Returns `true` if `pid` is in the set.
-    pub fn contains(self, pid: Pid) -> bool {
-        pid.index() < 64 && self.bits & (1 << pid.index()) != 0
-    }
-
-    /// Returns the raw bit mask (bit `i` set ⇔ process `i` is in the set),
-    /// for callers that keep their own word-sized pid masks (the partial-
-    /// order-reduced model checker).
-    pub fn bits(self) -> u64 {
-        self.bits
-    }
-
-    /// Iterates the pids in ascending order.
-    pub fn iter(self) -> EnabledIter {
-        EnabledIter { bits: self.bits }
-    }
-}
-
-impl IntoIterator for EnabledSet {
-    type Item = Pid;
-    type IntoIter = EnabledIter;
-
-    fn into_iter(self) -> EnabledIter {
-        self.iter()
-    }
-}
-
-/// Ascending iterator over an [`EnabledSet`].
-#[derive(Clone, Debug)]
-pub struct EnabledIter {
-    bits: u64,
-}
-
-impl Iterator for EnabledIter {
-    type Item = Pid;
-
-    fn next(&mut self) -> Option<Pid> {
-        if self.bits == 0 {
-            return None;
-        }
-        let i = self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        Some(Pid::new(i))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.bits.count_ones() as usize;
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for EnabledIter {}
 
 /// The process symmetry groups of a system: disjoint sets of pids that are
 /// pairwise interchangeable.
@@ -256,35 +182,7 @@ impl Config {
         &self.procs[pid.index()]
     }
 
-    /// Returns the enabled processes as an allocation-free bitset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system has more than 64 processes (well beyond the
-    /// reach of exhaustive exploration).
-    pub fn enabled_set(&self) -> EnabledSet {
-        assert!(
-            self.procs.len() <= 64,
-            "EnabledSet supports at most 64 processes"
-        );
-        let mut bits = 0u64;
-        for (i, p) in self.procs.iter().enumerate() {
-            if p.status.is_enabled() {
-                bits |= 1 << i;
-            }
-        }
-        EnabledSet { bits }
-    }
-
-    /// Iterates the pids that may still take a step, in ascending order,
-    /// without allocating.
-    pub fn enabled_iter(&self) -> EnabledIter {
-        self.enabled_set().iter()
-    }
-
-    /// Returns the pids that may still take a step.
-    ///
-    /// Allocates; hot paths should prefer [`Config::enabled_iter`].
+    /// Returns the pids that may still take a step, in ascending order.
     pub fn enabled(&self) -> Vec<Pid> {
         self.procs
             .iter()
@@ -328,33 +226,6 @@ impl Config {
     /// Returns the number of shared objects.
     pub fn nobjects(&self) -> usize {
         self.objects.len()
-    }
-
-    /// Returns the canonical representative of this configuration's orbit
-    /// under within-group pid permutations: each group's process states are
-    /// sorted into ascending [`ProcState`] order.
-    ///
-    /// Because process states live behind [`Arc`]s, canonicalization is
-    /// pointer swaps — no process state is deep-copied. Two configurations
-    /// related by a within-group permutation canonicalize to the *same*
-    /// configuration, and canonicalization is idempotent.
-    ///
-    /// This covers systems whose object states embed no pids (always true
-    /// when the grouped processes are pid-independent, since oblivious
-    /// objects only learn pids through operation arguments). When explicit
-    /// override groups put pid-*dependent* processes in one group, use
-    /// [`SystemSpec::canonicalize_config`], which additionally relabels
-    /// pids inside object state via
-    /// [`ObjectSpec::relabel_pids`](crate::ObjectSpec::relabel_pids).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a group mentions a pid outside this configuration.
-    pub fn canonicalize(&self, groups: &SymmetryGroups) -> Config {
-        match self.canonical_perm(groups) {
-            None => self.clone(),
-            Some(perm) => self.permuted(&perm),
-        }
     }
 
     /// Computes the pid permutation (`perm[old] = new`) that canonicalizes
@@ -437,10 +308,11 @@ pub enum StepInfo {
 
 /// What one enabled step touches, for commutativity reasoning.
 ///
-/// Computed by [`SystemSpec::step_footprint`] without mutating anything: it
-/// runs the protocol's (pure) transition function to see what the process
-/// *would* do next. Two steps with "disjoint" footprints commute — see
-/// [`SystemSpec::footprints_independent`] for the exact relation.
+/// Computed by [`SystemSpec::compact_footprint`] without mutating anything:
+/// it runs the protocol's (pure) transition function to see what the
+/// process *would* do next. Two steps with "disjoint" footprints commute —
+/// see [`SystemSpec::compact_footprints_independent`] for the exact
+/// relation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StepFootprint {
     /// The step only touches the process's own state (a `Decide`): it is
@@ -553,16 +425,25 @@ impl SystemSpec {
         h.finish()
     }
 
-    /// Canonicalizes `config` under this system's symmetry groups,
-    /// additionally relabeling pids embedded in object states through
+    /// Returns the canonical representative of `config`'s orbit under this
+    /// system's symmetry groups: each group's process states are sorted
+    /// into ascending [`ProcState`] order (ties keep ascending pid order),
+    /// and pids embedded in object states are relabeled through
     /// [`ObjectSpec::relabel_pids`] when the applied permutation is
     /// nontrivial.
     ///
-    /// For the automatic (pid-independent) groups the relabeling step is a
-    /// no-op — oblivious objects only learn pids through operation
-    /// arguments, which pid-independent protocols never pass — so this is
-    /// exactly [`Config::canonicalize`]. Takes `config` by value so the
-    /// already-canonical fast path costs nothing.
+    /// Two configurations related by a within-group permutation
+    /// canonicalize to the *same* configuration, and canonicalization is
+    /// idempotent. Process states live behind [`Arc`]s, so the permutation
+    /// moves pointers and deep-copies no process state. For the automatic
+    /// (pid-independent) groups the relabeling is a no-op — oblivious
+    /// objects only learn pids through operation arguments, which
+    /// pid-independent protocols never pass.
+    ///
+    /// This deep sort is deliberately separate from
+    /// [`SystemSpec::compact_canonicalize`]: tests use it as the
+    /// independent reference the id-space sort is checked against. Takes
+    /// `config` by value so the already-canonical fast path costs nothing.
     pub fn canonicalize_config(&self, config: Config) -> Config {
         self.canonicalize_config_perm(config).0
     }
@@ -587,29 +468,10 @@ impl SystemSpec {
         (next, Some(perm))
     }
 
-    /// Computes what `pid`'s next step would touch in `config`, without
-    /// taking the step.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ProcessNotEnabled`] if `pid` cannot take a step,
-    /// and propagates protocol errors.
-    pub fn step_footprint(&self, config: &Config, pid: Pid) -> Result<StepFootprint, SimError> {
-        let proc = config
-            .procs
-            .get(pid.index())
-            .ok_or(SimError::ProcessNotEnabled(pid))?;
-        let action = self.action_of(pid, proc)?;
-        Ok(match action {
-            Action::Decide(_) => StepFootprint::Local,
-            Action::Invoke { obj, op, .. } => StepFootprint::Object { obj, op },
-        })
-    }
-
     /// Runs `pid`'s pure protocol transition on `proc` without mutating
     /// anything — the single source of truth for "what would this process
-    /// do next", shared by the deep and interned stepping paths so the two
-    /// can never disagree.
+    /// do next", shared by the step relation and the POR footprint so the
+    /// two can never disagree.
     fn action_of(&self, pid: Pid, proc: &ProcState) -> Result<Action, SimError> {
         if !proc.status.is_enabled() {
             return Err(SimError::ProcessNotEnabled(pid));
@@ -618,64 +480,6 @@ impl SystemSpec {
         self.protocols[pid.index()]
             .step(&ctx, &proc.local, proc.resp.as_ref())
             .map_err(|source| SimError::Protocol { pid, source })
-    }
-
-    /// Returns `true` if two steps with the given footprints are
-    /// *independent* in `config`: executing them in either order reaches the
-    /// same configuration with the same responses.
-    ///
-    /// A [`StepFootprint::Local`] step (a decide) only touches its own
-    /// process state, so it is independent of everything. Steps on different
-    /// objects are always independent (each rewrites a disjoint part of the
-    /// configuration). Steps on the *same* object are independent exactly
-    /// when the object declares the two operations commuting in its current
-    /// state ([`ObjectSpec::commutes`], default: never).
-    pub fn footprints_independent(
-        &self,
-        config: &Config,
-        a: &StepFootprint,
-        b: &StepFootprint,
-    ) -> bool {
-        match (a, b) {
-            (StepFootprint::Local, _) | (_, StepFootprint::Local) => true,
-            (
-                StepFootprint::Object { obj: oa, op: pa },
-                StepFootprint::Object { obj: ob, op: pb },
-            ) => {
-                if oa != ob {
-                    return true;
-                }
-                self.ops_commute(*oa, &config.objects[oa.index()], pa, pb)
-            }
-        }
-    }
-
-    /// Returns `true` if operations `a` and `b` commute on object `obj` in
-    /// state `state` ([`ObjectSpec::commutes`], default: never), `false`
-    /// for unknown object ids.
-    ///
-    /// This is [`SystemSpec::footprints_independent`] with the state
-    /// supplied explicitly, so callers holding interned configurations can
-    /// resolve the object state themselves.
-    pub fn ops_commute(&self, obj: ObjId, state: &Value, a: &Op, b: &Op) -> bool {
-        match self.objects.get(obj.index()) {
-            Some(spec) => spec.commutes(state, a, b),
-            None => false,
-        }
-    }
-
-    /// Returns `true` if the next steps of enabled processes `p` and `q`
-    /// are independent in `config` (see
-    /// [`SystemSpec::footprints_independent`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ProcessNotEnabled`] if either process cannot take
-    /// a step, and propagates protocol errors.
-    pub fn steps_independent(&self, config: &Config, p: Pid, q: Pid) -> Result<bool, SimError> {
-        let fa = self.step_footprint(config, p)?;
-        let fb = self.step_footprint(config, q)?;
-        Ok(self.footprints_independent(config, &fa, &fb))
     }
 
     /// Returns the mask of processes statically independent of `pid`: bit
@@ -710,14 +514,88 @@ impl SystemSpec {
         Config { objects, procs }
     }
 
+    /// The step relation: hands each distinct outcome of scheduling `pid`,
+    /// whose state is `proc` (`None` when `pid` is out of range), to
+    /// `write` — the touched object with the applied operation and its
+    /// next state (`None` for a decide), and the stepped process's next
+    /// state. `object` resolves the state of the object the step targets.
+    ///
+    /// Every step rule lives here — decide vs invoke, hang vs response,
+    /// the errors (all raised before the first `write`), and the collapse
+    /// of equal outcomes to their first occurrence, in the object's
+    /// outcome order — so [`SystemSpec::successors`] and
+    /// [`SystemSpec::compact_successors`] only write the outcomes into a
+    /// [`Config`] or a [`PendingConfig`].
+    fn step_outcomes<'a>(
+        &self,
+        pid: Pid,
+        proc: Option<&ProcState>,
+        object: impl FnOnce(ObjId) -> &'a Value,
+        mut write: impl FnMut(Option<(ObjId, &Op, Value)>, ProcState),
+    ) -> Result<(), SimError> {
+        let proc = proc.ok_or(SimError::ProcessNotEnabled(pid))?;
+        let (mut local, obj, op) = match self.action_of(pid, proc)? {
+            Action::Decide(value) => {
+                let decided = ProcState {
+                    local: proc.local.clone(),
+                    resp: None,
+                    status: ProcStatus::Decided(value),
+                };
+                write(None, decided);
+                return Ok(());
+            }
+            Action::Invoke { local, obj, op } => (local, obj, op),
+        };
+        let spec = self
+            .objects
+            .get(obj.index())
+            .ok_or(SimError::UnknownObject { pid, obj })?;
+        let mut outcomes = spec
+            .apply(object(obj), &op)
+            .map_err(|source| SimError::Object { obj, pid, source })?;
+        if outcomes.is_empty() {
+            return Err(SimError::NoOutcomes { obj, pid });
+        }
+        // Equal outcomes denote equal successors (the stepped process's
+        // state is a function of the response); outcome lists are short.
+        let mut k = 1;
+        while k < outcomes.len() {
+            if outcomes[..k].contains(&outcomes[k]) {
+                outcomes.remove(k);
+            } else {
+                k += 1;
+            }
+        }
+        let last = outcomes.len() - 1;
+        for (k, out) in outcomes.into_iter().enumerate() {
+            // The last outcome takes `local` itself, not a copy.
+            let local = if k == last {
+                std::mem::take(&mut local)
+            } else {
+                local.clone()
+            };
+            let status = match out.response {
+                Some(_) => ProcStatus::Running,
+                None => ProcStatus::Hung,
+            };
+            let next = ProcState {
+                local,
+                resp: out.response,
+                status,
+            };
+            write(Some((obj, &op, out.state)), next);
+        }
+        Ok(())
+    }
+
     /// Computes every successor configuration of scheduling `pid` in
     /// `config`, together with a trace summary of the step.
     ///
     /// Deterministic systems produce exactly one successor; a step whose
     /// operation targets a nondeterministic object produces one successor
-    /// per *distinct* outcome — outcomes yielding identical configurations
-    /// are deduplicated, so the model checker never records parallel edges
-    /// to the same state.
+    /// per *distinct* outcome, in the object's outcome order — outcomes
+    /// yielding identical configurations are deduplicated, so the model
+    /// checker never records parallel edges to the same state.
     ///
     /// Cloning copies only `Arc` pointers; the stepped process (and the
     /// touched object, for invocations) get fresh `Arc`s, everything else
@@ -726,94 +604,54 @@ impl SystemSpec {
     /// # Errors
     ///
     /// Returns [`SimError::ProcessNotEnabled`] if `pid` cannot take a step,
-    /// and propagates protocol and object errors.
+    /// [`SimError::UnknownObject`] or [`SimError::NoOutcomes`] for an
+    /// invocation that targets no object or gets no outcome, and
+    /// propagates protocol and object errors.
     pub fn successors(
         &self,
         config: &Config,
         pid: Pid,
     ) -> Result<Vec<(Config, StepInfo)>, SimError> {
         let i = pid.index();
-        let proc = config
-            .procs
-            .get(i)
-            .ok_or(SimError::ProcessNotEnabled(pid))?;
-        let action = self.action_of(pid, proc)?;
-        match action {
-            Action::Decide(v) => {
+        let proc = config.procs.get(i).map(|p| &**p);
+        let mut succs = Vec::new();
+        self.step_outcomes(
+            pid,
+            proc,
+            |obj| &config.objects[obj.index()],
+            |touched, stepped| {
                 let mut next = config.clone();
-                next.procs[i] = Arc::new(ProcState {
-                    local: proc.local.clone(),
-                    resp: None,
-                    status: ProcStatus::Decided(v.clone()),
-                });
-                Ok(vec![(next, StepInfo::Decided(v))])
-            }
-            Action::Invoke { local, obj, op } => {
-                let spec = self
-                    .objects
-                    .get(obj.index())
-                    .ok_or(SimError::UnknownObject { pid, obj })?;
-                let outcomes = spec
-                    .apply(&config.objects[obj.index()], &op)
-                    .map_err(|source| SimError::Object { obj, pid, source })?;
-                if outcomes.is_empty() {
-                    return Err(SimError::NoOutcomes { obj, pid });
-                }
-                let mut succs: Vec<(Config, StepInfo)> = Vec::with_capacity(outcomes.len());
-                for out in outcomes {
-                    let mut next = config.clone();
-                    next.objects[obj.index()] = Arc::new(out.state);
-                    let (resp, status) = match out.response {
-                        Some(resp) => (Some(resp), ProcStatus::Running),
-                        None => (None, ProcStatus::Hung),
-                    };
-                    next.procs[i] = Arc::new(ProcState {
-                        local: local.clone(),
-                        resp: resp.clone(),
-                        status,
-                    });
-                    // Identical configurations imply identical StepInfo
-                    // (the response is part of the process state), so a
-                    // pairwise config scan over the short outcome list
-                    // suffices to dedup.
-                    if succs.iter().any(|(c, _)| *c == next) {
-                        continue;
-                    }
-                    succs.push((
-                        next,
+                let info = match touched {
+                    Some((obj, op, state)) => {
+                        next.objects[obj.index()] = Arc::new(state);
                         StepInfo::Invoked {
                             obj,
                             op: op.clone(),
-                            resp,
-                        },
-                    ));
-                }
-                Ok(succs)
-            }
-        }
-    }
-
-    // ---- interned (hash-consed) stepping ---------------------------------
-    //
-    // The `compact_*` methods are id-space twins of `initial_config` /
-    // `step_footprint` / `successors` / `canonicalize_config_perm`: they
-    // operate on rows of interner id words instead of deep `Config`s, are
-    // read-only on the interner (fresh states ride along in a
-    // `PendingConfig` until the merge thread interns them), and share
-    // `action_of` / `ObjectSpec` hooks with the deep path so the two can
-    // never diverge.
-
-    /// Builds and interns the initial configuration.
-    pub fn compact_initial(&self, interner: &mut StateInterner) -> CompactConfig {
-        interner.intern_config(&self.initial_config())
+                            resp: stepped.resp.clone(),
+                        }
+                    }
+                    None => StepInfo::Decided(
+                        stepped
+                            .status
+                            .decision()
+                            .expect("a step that touches no object decides")
+                            .clone(),
+                    ),
+                };
+                next.procs[i] = Arc::new(stepped);
+                succs.push((next, info));
+            },
+        )?;
+        Ok(succs)
     }
 
     /// The footprint of `pid`'s next step in the interned configuration
-    /// `words` — the id-space twin of [`SystemSpec::step_footprint`].
+    /// `words`.
     ///
     /// # Errors
     ///
-    /// Exactly those of [`SystemSpec::step_footprint`].
+    /// Returns [`SimError::ProcessNotEnabled`] if `pid` cannot take a step,
+    /// and propagates protocol errors.
     pub fn compact_footprint(
         &self,
         interner: &StateInterner,
@@ -830,10 +668,18 @@ impl SystemSpec {
         })
     }
 
-    /// Whether two steps with these footprints are independent in the
-    /// interned configuration `words` — the id-space twin of
-    /// [`SystemSpec::footprints_independent`], resolving only the shared
-    /// object's state through the interner.
+    /// Returns `true` if two steps with these footprints are *independent*
+    /// in the interned configuration `words`: executing them in either
+    /// order reaches the same configuration with the same responses.
+    ///
+    /// A [`StepFootprint::Local`] step (a decide) only touches its own
+    /// process state, so it is independent of everything. Steps on
+    /// different objects are always independent (each rewrites a disjoint
+    /// part of the configuration). Steps on the *same* object are
+    /// independent exactly when the object declares the two operations
+    /// commuting in its current state ([`ObjectSpec::commutes`], default:
+    /// never; `false` for an unknown object), which is the only state
+    /// resolved through the interner.
     pub fn compact_footprints_independent(
         &self,
         interner: &StateInterner,
@@ -846,7 +692,12 @@ impl SystemSpec {
             (
                 StepFootprint::Object { obj: oa, op: pa },
                 StepFootprint::Object { obj: ob, op: pb },
-            ) => oa != ob || self.ops_commute(*oa, interner.object(words[oa.index()]), pa, pb),
+            ) => {
+                oa != ob
+                    || self.objects.get(oa.index()).is_some_and(|spec| {
+                        spec.commutes(interner.object(words[oa.index()]), pa, pb)
+                    })
+            }
         }
     }
 
@@ -857,8 +708,8 @@ impl SystemSpec {
     /// known states become id copies, genuinely fresh ones ride along for
     /// [`StateInterner::finalize`].
     ///
-    /// Outcome deduplication matches [`SystemSpec::successors`]: outcomes
-    /// denoting equal configurations collapse to the first occurrence.
+    /// The successors are those of [`SystemSpec::successors`], in the same
+    /// order: both write the outcomes of one step relation.
     ///
     /// # Errors
     ///
@@ -871,67 +722,24 @@ impl SystemSpec {
     ) -> Result<Vec<PendingConfig>, SimError> {
         let nobjects = self.nobjects();
         let i = pid.index();
-        let proc_id = *words
-            .get(nobjects + i)
-            .ok_or(SimError::ProcessNotEnabled(pid))?;
-        let proc = interner.proc(proc_id);
-        let action = self.action_of(pid, proc)?;
-        match action {
-            Action::Decide(v) => {
-                let mut next = PendingConfig::copy_of(nobjects, words);
-                next.set_proc_state(
-                    interner,
-                    i,
-                    ProcState {
-                        local: proc.local.clone(),
-                        resp: None,
-                        status: ProcStatus::Decided(v),
-                    },
-                );
-                Ok(vec![next])
+        let proc = words.get(nobjects + i).map(|&id| interner.proc(id));
+        let object = |obj: ObjId| interner.object(words[obj.index()]);
+        let mut succs = Vec::new();
+        self.step_outcomes(pid, proc, object, |touched, stepped| {
+            let mut next = PendingConfig::copy_of(nobjects, words);
+            if let Some((obj, _, state)) = touched {
+                next.set_object_state(interner, obj.index(), state);
             }
-            Action::Invoke { local, obj, op } => {
-                let spec = self
-                    .objects
-                    .get(obj.index())
-                    .ok_or(SimError::UnknownObject { pid, obj })?;
-                let outcomes = spec
-                    .apply(interner.object(words[obj.index()]), &op)
-                    .map_err(|source| SimError::Object { obj, pid, source })?;
-                if outcomes.is_empty() {
-                    return Err(SimError::NoOutcomes { obj, pid });
-                }
-                let mut succs: Vec<PendingConfig> = Vec::with_capacity(outcomes.len());
-                for out in outcomes {
-                    let mut next = PendingConfig::copy_of(nobjects, words);
-                    next.set_object_state(interner, obj.index(), out.state);
-                    let (resp, status) = match out.response {
-                        Some(resp) => (Some(resp), ProcStatus::Running),
-                        None => (None, ProcStatus::Hung),
-                    };
-                    next.set_proc_state(
-                        interner,
-                        i,
-                        ProcState {
-                            local: local.clone(),
-                            resp,
-                            status,
-                        },
-                    );
-                    if succs.contains(&next) {
-                        continue;
-                    }
-                    succs.push(next);
-                }
-                Ok(succs)
-            }
-        }
+            next.set_proc_state(interner, i, stepped);
+            succs.push(next);
+        })?;
+        Ok(succs)
     }
 
-    /// Canonicalizes `pending` in id space — the twin of
-    /// [`SystemSpec::canonicalize_config_perm`] — returning the applied pid
+    /// Canonicalizes `pending` in id space, returning the applied pid
     /// permutation (`perm[old] = new`), or `None` when the configuration
-    /// was already canonical.
+    /// was already canonical. Tests check it against the separate deep
+    /// sort of [`SystemSpec::canonicalize_config_perm`].
     ///
     /// Group members are ordered by their underlying [`ProcState`]s with an
     /// id shortcut (equal resolved ids ⇒ equal states, by the interning
@@ -1305,6 +1113,44 @@ mod tests {
         b.build()
     }
 
+    /// The successor configurations of `pid` at `config`.
+    fn deep_succs(spec: &SystemSpec, config: &Config, pid: Pid) -> Result<Vec<Config>, SimError> {
+        Ok(spec
+            .successors(config, pid)?
+            .into_iter()
+            .map(|(next, _)| next)
+            .collect())
+    }
+
+    /// The successors of `pid` at `config` through the id-space path:
+    /// `compact_successors` on the interned row, each finalized and
+    /// materialized back into a `Config`.
+    fn compact_succs(
+        spec: &SystemSpec,
+        config: &Config,
+        pid: Pid,
+    ) -> Result<Vec<Config>, SimError> {
+        let mut interner = StateInterner::new();
+        let row = interner.intern_config(config);
+        let pendings = spec.compact_successors(&interner, row.words(), pid)?;
+        Ok(pendings
+            .into_iter()
+            .map(|pending| {
+                let next = interner.finalize(pending);
+                interner.materialize_words(next.nobjects(), next.words())
+            })
+            .collect())
+    }
+
+    /// Whether the next steps of `p` and `q` at `config` are independent,
+    /// decided in id space as the explorer's POR decides it.
+    fn independent(spec: &SystemSpec, config: &Config, p: Pid, q: Pid) -> bool {
+        let mut interner = StateInterner::new();
+        let row = interner.intern_config(config);
+        let fp = |pid| spec.compact_footprint(&interner, row.words(), pid).unwrap();
+        spec.compact_footprints_independent(&interner, row.words(), &fp(p), &fp(q))
+    }
+
     #[test]
     fn solo_run_by_hand() {
         let spec = solo_system();
@@ -1339,6 +1185,16 @@ mod tests {
         }
         let err = spec.successors(&c, Pid::new(0)).unwrap_err();
         assert_eq!(err, SimError::ProcessNotEnabled(Pid::new(0)));
+        assert_eq!(compact_succs(&spec, &c, Pid::new(0)), Err(err));
+        // A pid outside the system is not enabled either.
+        assert_eq!(
+            compact_succs(&spec, &c, Pid::new(3)),
+            Err(SimError::ProcessNotEnabled(Pid::new(3)))
+        );
+        assert_eq!(
+            deep_succs(&spec, &c, Pid::new(3)),
+            Err(SimError::ProcessNotEnabled(Pid::new(3)))
+        );
     }
 
     #[test]
@@ -1360,6 +1216,7 @@ mod tests {
         assert_eq!(c1.proc_state(Pid::new(0)).status, ProcStatus::Hung);
         assert!(c1.is_final());
         assert!(c1.decided_values().is_empty());
+        assert_eq!(compact_succs(&spec, &c0, Pid::new(0)), Ok(vec![c1]));
     }
 
     #[test]
@@ -1376,6 +1233,7 @@ mod tests {
                 obj: ObjId::new(9)
             }
         );
+        assert_eq!(compact_succs(&spec, &c0, Pid::new(0)), Err(err));
     }
 
     #[test]
@@ -1417,31 +1275,6 @@ mod tests {
     }
 
     #[test]
-    fn enabled_set_matches_enabled_vec() {
-        let spec = solo_system();
-        let mut c = spec.initial_config();
-        for _ in 0..4 {
-            let set = c.enabled_set();
-            assert_eq!(set.iter().collect::<Vec<_>>(), c.enabled());
-            assert_eq!(set.len(), c.enabled().len());
-            assert_eq!(set.is_empty(), c.enabled().is_empty());
-            for p in 0..c.nprocs() {
-                assert_eq!(
-                    set.contains(Pid::new(p)),
-                    c.enabled().contains(&Pid::new(p))
-                );
-            }
-            if c.is_final() {
-                break;
-            }
-            c = spec.successors(&c, Pid::new(0)).unwrap().pop().unwrap().0;
-        }
-        assert!(c.is_final());
-        assert!(c.enabled_set().is_empty());
-        assert_eq!(c.enabled_iter().next(), None);
-    }
-
-    #[test]
     fn cloning_shares_unstepped_state() {
         let mut b = SystemBuilder::new();
         let reg = b.add_object(Reg);
@@ -1465,9 +1298,13 @@ mod tests {
         b.add_process(Arc::new(Toucher { obj }), Value::Nil);
         let spec = b.build();
         let c0 = spec.initial_config();
-        let succs = spec.successors(&c0, Pid::new(0)).unwrap();
+        let succs = deep_succs(&spec, &c0, Pid::new(0)).unwrap();
         assert_eq!(succs.len(), 2, "the duplicated outcome must collapse");
-        assert_ne!(succs[0].0, succs[1].0);
+        assert_ne!(succs[0], succs[1]);
+        // First occurrences, in the object's outcome order.
+        assert_eq!(succs[0].object_state(obj), &Value::Int(1));
+        assert_eq!(succs[1].object_state(obj), &Value::Int(2));
+        assert_eq!(compact_succs(&spec, &c0, Pid::new(0)), Ok(succs));
     }
 
     #[test]
@@ -1606,23 +1443,26 @@ mod tests {
     #[test]
     fn canonicalize_merges_orbit_and_is_idempotent() {
         let spec = sym_system(&[7, 7, 7]);
-        let groups = spec.symmetry_groups().clone();
         let c0 = spec.initial_config();
         // Step p0 once vs. step p2 once: same orbit, different configs.
         let (a, _) = spec.successors(&c0, Pid::new(0)).unwrap().pop().unwrap();
         let (b, _) = spec.successors(&c0, Pid::new(2)).unwrap().pop().unwrap();
         assert_ne!(a, b);
-        let ca = a.canonicalize(&groups);
-        let cb = b.canonicalize(&groups);
+        let ca = spec.canonicalize_config(a.clone());
+        let cb = spec.canonicalize_config(b);
         assert_eq!(ca, cb, "orbit members must share one representative");
-        assert_eq!(ca.canonicalize(&groups), ca, "canonicalize is idempotent");
+        assert_eq!(
+            spec.canonicalize_config(ca.clone()),
+            ca,
+            "canonicalize is idempotent"
+        );
         // The canonical form is untouched object-wise.
         assert_eq!(
             ca.object_state(ObjId::new(0)),
             a.object_state(ObjId::new(0))
         );
         // The initial config is symmetric, hence already canonical.
-        assert_eq!(c0.canonicalize(&groups), c0);
+        assert_eq!(spec.canonicalize_config(c0.clone()), c0);
     }
 
     #[test]
@@ -1630,7 +1470,7 @@ mod tests {
         let spec = sym_system(&[7, 7]);
         let c0 = spec.initial_config();
         let (c1, _) = spec.successors(&c0, Pid::new(1)).unwrap().pop().unwrap();
-        let canon = c1.canonicalize(spec.symmetry_groups());
+        let canon = spec.canonicalize_config(c1.clone());
         // Pointer swaps only: every proc Arc in `canon` is one of c1's.
         for p in &canon.procs {
             assert!(c1.procs.iter().any(|q| Arc::ptr_eq(p, q)));
@@ -1763,12 +1603,17 @@ mod tests {
     }
 
     #[test]
-    fn step_footprint_sees_the_next_action() {
+    fn footprint_sees_the_next_action() {
         let spec = solo_system();
+        let footprint = |c: &Config| {
+            let mut interner = StateInterner::new();
+            let row = interner.intern_config(c);
+            spec.compact_footprint(&interner, row.words(), Pid::new(0))
+        };
         let mut c = spec.initial_config();
         // pc 0 / pc 1: register ops.
         for expect_op in ["write", "read"] {
-            match spec.step_footprint(&c, Pid::new(0)).unwrap() {
+            match footprint(&c).unwrap() {
                 StepFootprint::Object { obj, op } => {
                     assert_eq!(obj, ObjId::new(0));
                     assert_eq!(op.name, expect_op);
@@ -1778,15 +1623,9 @@ mod tests {
             c = spec.successors(&c, Pid::new(0)).unwrap().pop().unwrap().0;
         }
         // pc 2: decide — a local footprint.
-        assert_eq!(
-            spec.step_footprint(&c, Pid::new(0)).unwrap(),
-            StepFootprint::Local
-        );
+        assert_eq!(footprint(&c).unwrap(), StepFootprint::Local);
         c = spec.successors(&c, Pid::new(0)).unwrap().pop().unwrap().0;
-        assert_eq!(
-            spec.step_footprint(&c, Pid::new(0)),
-            Err(SimError::ProcessNotEnabled(Pid::new(0)))
-        );
+        assert_eq!(footprint(&c), Err(SimError::ProcessNotEnabled(Pid::new(0))));
     }
 
     #[test]
@@ -1799,9 +1638,7 @@ mod tests {
         b.add_process(Arc::new(WriteReadDecide { reg: r1 }), Value::Int(2));
         let spec = b.build();
         let c0 = spec.initial_config();
-        assert!(spec
-            .steps_independent(&c0, Pid::new(0), Pid::new(1))
-            .unwrap());
+        assert!(independent(&spec, &c0, Pid::new(0), Pid::new(1)));
 
         // Same object, and the test `Reg` has no `commutes` override: two
         // writes are conservatively dependent.
@@ -1811,20 +1648,13 @@ mod tests {
         b.add_process(Arc::new(WriteReadDecide { reg: r }), Value::Int(2));
         let spec = b.build();
         let c0 = spec.initial_config();
-        assert!(!spec
-            .steps_independent(&c0, Pid::new(0), Pid::new(1))
-            .unwrap());
+        assert!(!independent(&spec, &c0, Pid::new(0), Pid::new(1)));
 
         // A decide is independent of anything.
         let c = spec.successors(&c0, Pid::new(0)).unwrap().pop().unwrap().0;
         let c = spec.successors(&c, Pid::new(0)).unwrap().pop().unwrap().0;
-        assert_eq!(
-            spec.step_footprint(&c, Pid::new(0)).unwrap(),
-            StepFootprint::Local
-        );
-        assert!(spec
-            .steps_independent(&c, Pid::new(0), Pid::new(1))
-            .unwrap());
+        assert!(independent(&spec, &c, Pid::new(0), Pid::new(1)));
+        assert!(independent(&spec, &c, Pid::new(1), Pid::new(0)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Randomized tests for configuration canonicalization: on random reachable
-//! configurations of a symmetric system, `canonicalize` is idempotent and
-//! invariant under random within-group pid permutations — the two algebraic
-//! facts orbit-quotient exploration rests on.
+//! configurations of a symmetric system, `SystemSpec::canonicalize_config`
+//! is idempotent and invariant under random within-group pid permutations —
+//! the two algebraic facts orbit-quotient exploration rests on.
 //!
 //! Written over the in-tree seeded [`SmallRng`] (repo style: seeded loops,
 //! no external property-testing dependency).
@@ -87,7 +87,7 @@ fn two_group_system() -> SystemSpec {
 fn random_reachable_config(spec: &SystemSpec, rng: &mut SmallRng, steps: usize) -> Config {
     let mut config = spec.initial_config();
     for _ in 0..steps {
-        let enabled: Vec<Pid> = config.enabled_iter().collect();
+        let enabled = config.enabled();
         if enabled.is_empty() {
             break;
         }
@@ -124,13 +124,12 @@ fn random_within_group_perm(
 #[test]
 fn canonicalize_is_idempotent_on_random_configs() {
     let spec = two_group_system();
-    let groups = spec.symmetry_groups().clone();
     for seed in 0..200u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let steps = rng.gen_index(11);
         let config = random_reachable_config(&spec, &mut rng, steps);
-        let once = config.canonicalize(&groups);
-        let twice = once.canonicalize(&groups);
+        let once = spec.canonicalize_config(config);
+        let twice = spec.canonicalize_config(once.clone());
         assert_eq!(once, twice, "seed {seed}: canonicalize must be idempotent");
     }
 }
@@ -146,16 +145,9 @@ fn canonicalize_is_invariant_under_within_group_permutations() {
         let perm = random_within_group_perm(&groups, spec.nprocs(), &mut rng);
         let shuffled = config.permuted(&perm);
         assert_eq!(
-            config.canonicalize(&groups),
-            shuffled.canonicalize(&groups),
-            "seed {seed}: orbit members must share a representative (perm {perm:?})"
-        );
-        // The spec-level entry point agrees (no object here embeds pids,
-        // so relabeling is a no-op by construction).
-        assert_eq!(
             spec.canonicalize_config(config),
             spec.canonicalize_config(shuffled),
-            "seed {seed}: spec canonicalization must agree"
+            "seed {seed}: orbit members must share a representative (perm {perm:?})"
         );
     }
 }
@@ -169,7 +161,7 @@ fn canonical_representative_is_within_group_sorted() {
     for seed in 0..100u64 {
         let mut rng = SmallRng::seed_from_u64(2_000 + seed);
         let config = random_reachable_config(&spec, &mut rng, 10);
-        let canon = config.canonicalize(&groups);
+        let canon = spec.canonicalize_config(config);
         for group in groups.groups() {
             for w in group.windows(2) {
                 assert!(

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use subconsensus_sim::{
-    Action, CompactConfig, Config, ObjId, ObjectError, ObjectSpec, Op, Outcome, Pid, ProcCtx,
-    Protocol, ProtocolError, SmallRng, StateInterner, SystemBuilder, SystemSpec, Value,
+    Action, CompactConfig, Config, ObjId, ObjectError, ObjectSpec, Op, Outcome, ProcCtx, Protocol,
+    ProtocolError, SmallRng, StateInterner, SystemBuilder, SystemSpec, Value,
 };
 
 /// A sticky agreement cell: the first proposal wins, later proposals read it.
@@ -30,13 +30,6 @@ impl ObjectSpec for Sticky {
         let v = op.arg(0).cloned().unwrap_or(Value::Nil);
         let winner = if state.is_nil() { v } else { state.clone() };
         Ok(vec![Outcome::ret(winner.clone(), winner)])
-    }
-
-    /// Once set, the cell absorbs every proposal; before that, equal
-    /// proposals commute. Gives the independence check below a same-object
-    /// case that depends on the object's state.
-    fn commutes(&self, state: &Value, a: &Op, b: &Op) -> bool {
-        !state.is_nil() || a == b
     }
 }
 
@@ -119,11 +112,16 @@ fn mixed_system() -> SystemSpec {
     spec
 }
 
+/// The deep configuration a row of interned id words stands for.
+fn materialize(interner: &StateInterner, compact: &CompactConfig) -> Config {
+    interner.materialize_words(compact.nobjects(), compact.words())
+}
+
 /// Walks a uniformly random schedule for at most `steps` steps.
 fn random_reachable_config(spec: &SystemSpec, rng: &mut SmallRng, steps: usize) -> Config {
     let mut config = spec.initial_config();
     for _ in 0..steps {
-        let enabled: Vec<Pid> = config.enabled_iter().collect();
+        let enabled = config.enabled();
         if enabled.is_empty() {
             break;
         }
@@ -145,14 +143,18 @@ fn interning_round_trips_and_is_idempotent() {
         let config = random_reachable_config(&spec, &mut rng, steps);
         let compact = interner.intern_config(&config);
         // Materializing and re-interning yields byte-identical id words.
-        let materialized = compact.materialize(&interner);
+        let materialized = materialize(&interner, &compact);
         assert_eq!(materialized, config, "seed {seed}: round trip");
         let again = interner.intern_config(&materialized);
         assert_eq!(compact, again, "seed {seed}: identical ids");
         // The enabled bitset computed from ids matches the deep one.
+        let deep_bits = config
+            .enabled()
+            .iter()
+            .fold(0u64, |bits, p| bits | 1 << p.index());
         assert_eq!(
             interner.enabled_bits(compact.nobjects(), compact.words()),
-            config.enabled_set().bits(),
+            deep_bits,
             "seed {seed}: enabled bits"
         );
     }
@@ -181,8 +183,8 @@ fn id_equality_coincides_with_deep_equality() {
     }
 }
 
-/// Random lockstep walk: the compact stepping path (footprints, successor
-/// sets, canonicalization) must agree with the deep path at every step.
+/// Random lockstep walk: the compact stepping path (successor sets,
+/// canonicalization) must agree with the deep path at every step.
 #[test]
 fn compact_stepping_stays_in_lockstep_with_deep() {
     let spec = mixed_system();
@@ -190,7 +192,10 @@ fn compact_stepping_stays_in_lockstep_with_deep() {
         let mut rng = SmallRng::seed_from_u64(20_000 + seed);
         let mut interner = StateInterner::new();
         let mut deep = spec.initial_config();
-        let mut words: Vec<u32> = spec.compact_initial(&mut interner).words().to_vec();
+        let mut words: Vec<u32> = interner
+            .intern_config(&spec.initial_config())
+            .words()
+            .to_vec();
         let nobjects = spec.nobjects();
         for _ in 0..12 {
             assert_eq!(
@@ -198,27 +203,9 @@ fn compact_stepping_stays_in_lockstep_with_deep() {
                 deep,
                 "seed {seed}: representations diverged"
             );
-            let enabled: Vec<Pid> = deep.enabled_iter().collect();
+            let enabled = deep.enabled();
             if enabled.is_empty() {
                 break;
-            }
-            // Footprints agree, and so does step independence for every
-            // pair of enabled pids — the id-space decision POR makes.
-            for &p in &enabled {
-                let fp = spec.step_footprint(&deep, p).unwrap();
-                assert_eq!(
-                    spec.compact_footprint(&interner, &words, p).unwrap(),
-                    fp,
-                    "seed {seed}: footprint"
-                );
-                for &q in &enabled {
-                    let fq = spec.step_footprint(&deep, q).unwrap();
-                    assert_eq!(
-                        spec.compact_footprints_independent(&interner, &words, &fp, &fq),
-                        spec.footprints_independent(&deep, &fp, &fq),
-                        "seed {seed}: independence of {p:?} and {q:?}"
-                    );
-                }
             }
             let pid = enabled[rng.gen_index(enabled.len())];
             // Successor sets agree element-for-element, including the
@@ -236,13 +223,17 @@ fn compact_stepping_stays_in_lockstep_with_deep() {
                 assert_eq!(perm_c, perm_d, "seed {seed}: canonical perm");
                 let canon_compact = interner.finalize(canon_pending);
                 assert_eq!(
-                    canon_compact.materialize(&interner),
+                    materialize(&interner, &canon_compact),
                     canon_deep,
                     "seed {seed}: canonical representative"
                 );
                 // The plain (uncanonicalized) successor round-trips too.
                 let compact = interner.finalize(p);
-                assert_eq!(compact.materialize(&interner), *d, "seed {seed}: successor");
+                assert_eq!(
+                    materialize(&interner, &compact),
+                    *d,
+                    "seed {seed}: successor"
+                );
                 finalized.push(compact);
             }
             // Take the same branch on both sides.

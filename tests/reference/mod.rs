@@ -54,7 +54,7 @@ pub fn explore(spec: &SystemSpec, symmetry: bool, max_configs: usize) -> RefGrap
     while i < g.configs.len() {
         let config = g.configs[i].clone();
         let mut out = Vec::new();
-        for pid in config.enabled_iter() {
+        for pid in config.enabled() {
             for (next, _) in spec.successors(&config, pid).expect("reference step") {
                 let next = canon(next);
                 let to = match index.get(&next) {
