@@ -25,8 +25,8 @@
 //!
 //! With [`ExploreOptions::por`], exploration prunes redundant interleavings
 //! of *independent* steps (steps that commute — see
-//! [`SystemSpec::compact_footprints_independent`]) instead of generating them and
-//! letting the dedup index merge their endpoints:
+//! [`SystemSpec::compact_footprints_independent`]) instead of generating
+//! them and letting the dedup index merge their endpoints:
 //!
 //! * **Ample (persistent) sets** shrink the state count: at each new
 //!   configuration only a persistent subset of the enabled processes is

@@ -604,8 +604,8 @@ impl SystemSpec {
     /// # Errors
     ///
     /// Returns [`SimError::ProcessNotEnabled`] if `pid` cannot take a step,
-    /// [`SimError::UnknownObject`] or [`SimError::NoOutcomes`] for an
-    /// invocation that targets no object or gets no outcome, and
+    /// [`SimError::UnknownObject`] if it invokes an unregistered object,
+    /// [`SimError::NoOutcomes`] if the object returns no outcome, and
     /// propagates protocol and object errors.
     pub fn successors(
         &self,

@@ -1,9 +1,8 @@
 //! Randomized tests for step independence as partial-order reduction
-//! decides it: in id space, from the footprints
-//! ([`SystemSpec::compact_footprint`]) of a random reachable
-//! configuration's interned row
-//! ([`SystemSpec::compact_footprints_independent`]). Whenever two enabled
-//! steps are declared independent, firing them in either order (through
+//! decides it: [`SystemSpec::compact_footprints_independent`] over the
+//! footprints ([`SystemSpec::compact_footprint`]) of a random reachable
+//! configuration's interned row. Whenever two enabled steps are declared
+//! independent, firing them in either order (through the deep
 //! [`SystemSpec::successors`]) must land in the *same* configuration — the
 //! Mazurkiewicz-trace fact partial-order reduction rests on.
 //!
