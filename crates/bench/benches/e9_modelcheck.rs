@@ -17,9 +17,12 @@
 //! with its deterministic facts (`peak_configs`, `edges`, `truncated`,
 //! `approx_bytes_per_config`); `scripts/bench_guard.sh` compares those
 //! against the committed JSON so a regression that *grows* the explored
-//! graph — or its per-config memory — fails CI even in smoke mode. With
-//! `INTERNER_STATS=1` each row additionally prints its hash-consing arena
-//! summary on stderr.
+//! graph — or its per-config memory — fails CI even in smoke mode. Each
+//! full-graph and verdict-goal combination also prints one `MEMO` line with
+//! its transition-memo lookups, hits and entries, asserted equal across
+//! thread counts (and between the disk and memory stores) like the graph
+//! facts. With `INTERNER_STATS=1` each row additionally prints its
+//! hash-consing arena summary on stderr.
 //!
 //! `BENCH_SMOKE=1` runs every kernel twice with no warm-up (see
 //! `harness::smoke_mode`) so `scripts/check.sh` can catch bench bit-rot.
@@ -37,7 +40,7 @@ use subconsensus_modelcheck::{
     check_wait_freedom, ExploreGoal, ExploreOptions, StateGraph, StoreBackend, VerdictCause,
     VerdictQuery,
 };
-use subconsensus_sim::{InternerStats, StoreMetrics, SystemSpec};
+use subconsensus_sim::{ExploreMetrics, InternerStats, StoreMetrics, SystemSpec};
 
 const THREADS: [usize; 3] = [1, 2, 4];
 /// Thread counts of the verdict-goal and disk-store rows: the first
@@ -75,6 +78,22 @@ struct GraphFacts {
     /// Spill counters of the instrumented run (`None` on memory-backed
     /// rows).
     store: Option<StoreMetrics>,
+    memo: MemoFacts,
+}
+
+/// Transition-memo counters of one exploration: `(lookups, hits,
+/// entries)`. The memo is filled only by the sequential merge, so they are
+/// as deterministic as the graph itself.
+type MemoFacts = (u64, u64, u64);
+
+fn memo_facts(m: &ExploreMetrics) -> MemoFacts {
+    (m.memo_lookups, m.memo_hits, m.memo_entries)
+}
+
+/// One `MEMO` line (`scripts/bench_guard.sh` gate 3 diffs them between the
+/// in-memory and the `MC_STORE=disk` run).
+fn print_memo(row: &str, symmetry: bool, por: bool, (lookups, hits, entries): MemoFacts) {
+    println!("MEMO {row} {symmetry} {por} {lookups} {hits} {entries}");
 }
 
 impl GraphFacts {
@@ -111,6 +130,7 @@ fn facts(spec: &SystemSpec, opts: &ExploreOptions) -> GraphFacts {
         interner: g.interner_stats(),
         phases: g.metrics().phases_json(),
         store: g.metrics().store,
+        memo: memo_facts(g.metrics()),
     }
 }
 
@@ -126,6 +146,7 @@ struct VerdictFacts {
     /// Compact cause tag, e.g. `early-exit: wait-freedom refuted: …`.
     cause: String,
     phases: String,
+    memo: MemoFacts,
 }
 
 fn verdict_facts(spec: &SystemSpec, opts: &ExploreOptions) -> VerdictFacts {
@@ -164,6 +185,7 @@ fn verdict_facts(spec: &SystemSpec, opts: &ExploreOptions) -> VerdictFacts {
             VerdictCause::Truncated { cap } => format!("truncated at {cap}"),
         },
         phases: m.phases_json(),
+        memo: memo_facts(m),
     }
 }
 
@@ -313,6 +335,7 @@ fn main() {
                                 row_facts.truncated,
                                 row_facts.bytes_per_config()
                             );
+                            print_memo(fixture.name, symmetry, por, row_facts.memo);
                             if interner_stats_enabled() {
                                 if let Some(stats) = &row_facts.interner {
                                     eprintln!(
@@ -327,19 +350,21 @@ fn main() {
                             // Thread-count independence checked right
                             // here: every row of one (fixture, symmetry,
                             // por) cell must produce the same graph with
-                            // the same footprint.
+                            // the same footprint and memo counters.
                             assert_eq!(
                                 (
                                     first.peak_configs,
                                     first.edges,
                                     first.truncated,
-                                    first.approx_bytes
+                                    first.approx_bytes,
+                                    first.memo
                                 ),
                                 (
                                     row_facts.peak_configs,
                                     row_facts.edges,
                                     row_facts.truncated,
-                                    row_facts.approx_bytes
+                                    row_facts.approx_bytes,
+                                    row_facts.memo
                                 ),
                                 "{} sym={symmetry} por={por} t{threads}: \
                                  graph diverged from the t1 row",
@@ -439,6 +464,7 @@ fn main() {
                                     },
                                     vf.cause
                                 );
+                                print_memo(&format!("{name}/verdict"), symmetry, por, vf.memo);
                                 anchor = Some(vf.clone());
                             }
                             Some(first) => assert_eq!(
@@ -449,9 +475,17 @@ fn main() {
                                     first.edges,
                                     first.truncated,
                                     first.holds,
-                                    &first.cause
+                                    &first.cause,
+                                    first.memo
                                 ),
-                                (vf.configs, vf.edges, vf.truncated, vf.holds, &vf.cause),
+                                (
+                                    vf.configs,
+                                    vf.edges,
+                                    vf.truncated,
+                                    vf.holds,
+                                    &vf.cause,
+                                    vf.memo
+                                ),
                                 "{name} sym={symmetry} por={por}: verdict facts \
                                  diverged between thread counts"
                             ),
@@ -518,12 +552,19 @@ fn main() {
                     .with_store_budget(disk_budget);
                 let row_facts = facts(spec, &opts);
                 assert_eq!(
-                    (mem.peak_configs, mem.edges, mem.truncated, mem.approx_bytes),
+                    (
+                        mem.peak_configs,
+                        mem.edges,
+                        mem.truncated,
+                        mem.approx_bytes,
+                        mem.memo
+                    ),
                     (
                         row_facts.peak_configs,
                         row_facts.edges,
                         row_facts.truncated,
-                        row_facts.approx_bytes
+                        row_facts.approx_bytes,
+                        row_facts.memo
                     ),
                     "{name} sym={symmetry} por={por} t{threads}: \
                      disk-store graph diverged from the in-memory one"

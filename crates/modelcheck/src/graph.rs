@@ -21,6 +21,28 @@
 //! An independent `HashMap<Config, usize>` reference explorer under
 //! `tests/` checks the graphs it produces node for node.
 //!
+//! # The transition memo
+//!
+//! One step is a pure function of (pid, process state, state of the object
+//! it targets), so the store keeps a
+//! [`TransitionMemo`](subconsensus_sim::TransitionMemo) next to its
+//! interner: `(pid, proc id)` → the process's action (which also answers
+//! the POR footprint), and `(pid, proc id, object-state id)` → the step's
+//! distinct outcomes as id pairs. A worker that finds a transition there
+//! writes each successor into its reused row buffer, canonicalizes it in
+//! place with
+//! [`SystemSpec::canonicalize_in_place`](subconsensus_sim::SystemSpec::canonicalize_in_place),
+//! fingerprints it and probes the snapshot; it allocates only for a
+//! successor missing from the snapshot, which carries its fingerprint to
+//! the merge. A miss steps through `compact_successors` as before. Workers
+//! only read the memo: each logs its misses whose outcome states were all
+//! interned, and the merge absorbs the logs in frontier order after the
+//! level. The memo's contents — and its lookup, hit and entry counters in
+//! [`ExploreMetrics`] — are therefore the same for every thread count and
+//! store backend, and the interner sees the same states in the same order
+//! as without it. Its bytes count in the resident estimate (it stays
+//! resident, like the interner), and it is dropped before the freeze.
+//!
 //! # Partial-order reduction
 //!
 //! With [`ExploreOptions::por`], exploration prunes redundant interleavings
@@ -47,15 +69,16 @@
 //! (`u32` node ids, one flat edge array) — per-node memory is two `u32`
 //! offsets instead of a `Vec` header plus allocation slack.
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
 use subconsensus_sim::{
-    git_revision, unix_time_ms, warn_once, Config, ExploreMetrics, InternerStats, PendingConfig,
-    Pid, ProcStatus, Recorder, RunRecord, SimError, StateInterner, StepFootprint, SystemSpec,
-    TruncationCause, Value,
+    git_revision, unix_time_ms, warn_once, CanonScratch, Config, ExploreMetrics, InternerStats,
+    MemoLog, MemoSuccessors, PendingConfig, Pid, ProcStatus, Recorder, RunRecord, SimError,
+    StateInterner, StepFootprint, SystemSpec, TransitionMemo, TruncationCause, Value,
 };
 
 use crate::spill::{Spill, DEFAULT_DISK_BUDGET};
@@ -212,6 +235,15 @@ impl ExploreOptions {
             .or_else(|| env_value("MC_STORE_BUDGET", parse_usize))
     }
 
+    /// Resolves the env-deferred store settings in place, once per
+    /// exploration: afterwards [`store`](Self::store) is never
+    /// [`StoreBackend::Auto`] and [`store_budget_bytes`](Self::store_budget_bytes)
+    /// is final, so the explorer reads them as plain fields.
+    fn resolve_store(&mut self) {
+        self.store = self.effective_store();
+        self.store_budget_bytes = self.effective_store_budget();
+    }
+
     /// The options as one JSON object with every env-deferred field
     /// *resolved* (`store` and `store_budget_bytes` record what the
     /// exploration actually ran with, not the `0`/`Auto`/`None`
@@ -323,18 +355,15 @@ fn permute_mask(mask: u64, perm: &[usize]) -> u64 {
 }
 
 /// The hot-tier budget of the node store when this exploration spills to
-/// disk (`None`: everything stays in memory).
+/// disk (`None`: everything stays in memory). `opts` carries resolved
+/// store settings (see [`ExploreOptions::resolve_store`]).
 fn spill_budget(opts: &ExploreOptions) -> Option<usize> {
-    (opts.effective_store() == StoreBackend::Disk).then(|| {
-        opts.effective_store_budget()
+    (opts.store == StoreBackend::Disk).then(|| {
+        opts.store_budget_bytes
             .unwrap_or(DEFAULT_DISK_BUDGET)
             .max(1)
     })
 }
-
-/// Stepped successors of one node, each with the pid permutation
-/// canonicalization applied (`None` when already canonical).
-type Successors = Vec<(PendingConfig, Option<Vec<usize>>)>;
 
 /// The node arena of an exploration: states live once in a
 /// [`StateInterner`], nodes are rows of `u32` id words in one flat array,
@@ -342,9 +371,12 @@ type Successors = Vec<(PendingConfig, Option<Vec<usize>>)>;
 /// finds a row by a word compare (sound because interning makes id
 /// equality equivalent to state equality, so fingerprint collisions never
 /// merge distinct configurations). Under [`StoreBackend::Disk`] a
-/// [`Spill`] keeps the hot tier within budget.
+/// [`Spill`] keeps the hot tier within budget. The [`TransitionMemo`]
+/// beside the interner replays transitions already taken as id copies;
+/// expansion workers only read it, and the merge fills it.
 struct RowStore {
     interner: StateInterner,
+    memo: TransitionMemo,
     nobjects: usize,
     /// Words per node row (`nobjects + nprocs`).
     stride: usize,
@@ -370,6 +402,7 @@ impl RowStore {
         let stride = init.nobjects() + init.nprocs();
         RowStore {
             interner: StateInterner::new(),
+            memo: TransitionMemo::new(),
             nobjects: init.nobjects(),
             stride,
             words: Vec::new(),
@@ -421,35 +454,6 @@ impl RowStore {
     /// Streaming-verdict facts of terminal node `i`, read off its id row.
     fn terminal_facts(&self, i: usize) -> TerminalFacts {
         TerminalFacts::of_procs(&self.interner, &self.row(i)[self.nobjects..])
-    }
-
-    /// All successors of stepping `pid` at node `i`, canonicalized when
-    /// `symmetry`, each with the pid permutation canonicalization applied
-    /// (`None` when already canonical).
-    fn successors(
-        &self,
-        spec: &SystemSpec,
-        i: usize,
-        pid: Pid,
-        symmetry: bool,
-        timers: &Recorder,
-    ) -> Result<Successors, SimError> {
-        let succs = {
-            let _t = timers.time_expand();
-            spec.compact_successors(&self.interner, self.row(i), pid)?
-        };
-        Ok(succs
-            .into_iter()
-            .map(|mut pending| {
-                let perm = if symmetry {
-                    let _t = timers.time_canonicalize();
-                    spec.compact_canonicalize(&self.interner, &mut pending)
-                } else {
-                    None
-                };
-                (pending, perm)
-            })
-            .collect())
     }
 
     /// Worker-side dedup: the resident node filed under `fp` whose row is
@@ -517,11 +521,19 @@ impl RowStore {
     }
 
     /// Merge-side find-or-add of a worker-stepped successor, bounded by
-    /// `cap` nodes. The successor's fresh states are interned first.
-    fn insert(&mut self, pending: PendingConfig, cap: usize, rec: &Recorder) -> MergeSlot {
+    /// `cap` nodes. The successor's fresh states are interned first; `fp`
+    /// is its fingerprint when the worker already computed one (a
+    /// successor with no fresh state).
+    fn insert(
+        &mut self,
+        pending: PendingConfig,
+        fp: Option<u64>,
+        cap: usize,
+        rec: &Recorder,
+    ) -> MergeSlot {
         let compact = self.interner.finalize(pending);
         let words = compact.words();
-        let fp = fingerprint_words(words);
+        let fp = fp.unwrap_or_else(|| fingerprint_words(words));
         if let Some(j) = self.find(fp, words, rec) {
             return MergeSlot::Known(j);
         }
@@ -572,13 +584,15 @@ impl RowStore {
     }
 
     /// Estimated resident bytes of the hot tier — interner tables and
-    /// unique states, hot rows, the fingerprint index (`HashMap` control
-    /// word + key + `Vec` header per entry, one `usize` per filed id) and
-    /// the spill's reload buffers and fences — driving both the disk
-    /// store's eviction and the in-memory budget truncation.
+    /// unique states, the transition memo, hot rows, the fingerprint index
+    /// (`HashMap` control word + key + `Vec` header per entry, one `usize`
+    /// per filed id) and the spill's reload buffers and fences — driving
+    /// both the disk store's eviction and the in-memory budget truncation.
+    /// The interner and the memo always stay resident.
     fn resident_estimate(&self) -> usize {
         self.interner.table_bytes()
             + self.interner.state_bytes()
+            + self.memo.bytes()
             + self.words.len() * std::mem::size_of::<u32>()
             + self.index.len() * 48
             + self.index_ids * 8
@@ -655,9 +669,10 @@ impl WorkItem {
 enum StepResult {
     /// The successor already had a node index before this level's merge.
     Existing(usize),
-    /// A successor unseen at expansion time; the merge re-checks it
-    /// against nodes added earlier in the level before adding it.
-    Fresh(PendingConfig),
+    /// A successor unseen at expansion time, with its fingerprint when it
+    /// has no fresh state; the merge re-checks it against nodes added
+    /// earlier in the level before adding it.
+    Fresh(PendingConfig, Option<u64>),
 }
 
 /// One expanded successor: stepping pid, dedup result, sleep mask.
@@ -694,12 +709,12 @@ struct Expansion {
 ///
 /// Falls back to the full enabled set (no reduction). The result is
 /// deterministic: it depends only on the configuration and the spec.
-fn choose_ample(spec: &SystemSpec, enabled: u64, fps: &[Option<StepFootprint>]) -> u64 {
+fn choose_ample(spec: &SystemSpec, enabled: u64, fps: &[Option<Cow<'_, StepFootprint>>]) -> u64 {
     let mut it = enabled;
     while it != 0 {
         let i = it.trailing_zeros() as usize;
         it &= it - 1;
-        if matches!(fps[i], Some(StepFootprint::Local)) {
+        if matches!(fps[i].as_deref(), Some(StepFootprint::Local)) {
             return 1 << i;
         }
     }
@@ -734,8 +749,9 @@ fn choose_ample(spec: &SystemSpec, enabled: u64, fps: &[Option<StepFootprint>]) 
 /// The partial-order-reduction plan of one work item: which enabled pids
 /// it fires, the sleep set it starts from, the ample candidates that sleep
 /// set suppressed, and the per-pid step footprints every successor's sleep
-/// mask is computed from. Without POR it fires every enabled pid and all
-/// sleep masks are zero.
+/// mask is computed from (borrowed from the transition memo when it knows
+/// the pid's action). Without POR it fires every enabled pid and all sleep
+/// masks are zero.
 struct PorPlan<'a> {
     spec: &'a SystemSpec,
     interner: &'a StateInterner,
@@ -746,7 +762,7 @@ struct PorPlan<'a> {
     fire: u64,
     sleep: u64,
     slept: u64,
-    fps: Vec<Option<StepFootprint>>,
+    fps: Vec<Option<Cow<'a, StepFootprint>>>,
 }
 
 impl<'a> PorPlan<'a> {
@@ -777,9 +793,9 @@ impl<'a> PorPlan<'a> {
         while it != 0 {
             let i = it.trailing_zeros() as usize;
             it &= it - 1;
-            let fp = plan
-                .spec
-                .compact_footprint(plan.interner, plan.words, Pid::new(i))?;
+            let fp =
+                plan.spec
+                    .memo_footprint(plan.interner, &store.memo, plan.words, Pid::new(i))?;
             plan.fps[i] = Some(fp);
         }
         if item.fresh {
@@ -865,10 +881,27 @@ struct ExpandCtx<'a> {
     lvl: LevelCtx,
 }
 
+/// One expansion worker's reused buffers: the successors of the step in
+/// hand (with the row buffer memo hits are written into), the
+/// canonicalization scratch and the transition-memo fills the merge will
+/// absorb. Reused across work items and levels, so a memo hit allocates
+/// nothing until its successor turns out to be missing from the snapshot.
+#[derive(Default)]
+struct Worker {
+    succs: MemoSuccessors,
+    canon: CanonScratch,
+    log: MemoLog,
+}
+
 /// Expands one work item against a read-only snapshot of `store`: plans
-/// the fired pids, steps each one, and resolves every successor against
-/// the snapshot.
-fn expand_node(store: &RowStore, item: &WorkItem, x: ExpandCtx<'_>) -> Result<Expansion, SimError> {
+/// the fired pids, steps each one through the transition memo, and
+/// resolves every successor against the snapshot.
+fn expand_node(
+    store: &RowStore,
+    item: &WorkItem,
+    x: ExpandCtx<'_>,
+    w: &mut Worker,
+) -> Result<Expansion, SimError> {
     let rec = x.rec;
     rec.count_expansions(1);
     rec.heartbeat(x.lvl.level, x.lvl.nodes, x.lvl.frontier, x.lvl.remaining);
@@ -882,6 +915,7 @@ fn expand_node(store: &RowStore, item: &WorkItem, x: ExpandCtx<'_>) -> Result<Ex
         });
     }
     let plan = PorPlan::new(store, enabled, item, x)?;
+    let Worker { succs, canon, log } = w;
     let mut steps = Vec::new();
     let mut done = 0u64; // earlier siblings fired by this item
     let mut it = plan.fire;
@@ -889,22 +923,39 @@ fn expand_node(store: &RowStore, item: &WorkItem, x: ExpandCtx<'_>) -> Result<Ex
         let i = it.trailing_zeros() as usize;
         it &= it - 1;
         let pid = Pid::new(i);
-        for (next, perm) in store.successors(x.spec, item.node, pid, x.opts.symmetry, rec)? {
+        {
+            let _t = rec.time_expand();
+            x.spec
+                .memo_successors(&store.interner, &store.memo, plan.words, pid, succs, log)?;
+        }
+        for k in 0..succs.len() {
+            let mut next = succs.successor(k);
+            let perm = if x.opts.symmetry {
+                let _t = rec.time_canonicalize();
+                x.spec
+                    .canonicalize_in_place(&store.interner, &mut next, canon)
+            } else {
+                None
+            };
             if perm.is_some() {
                 rec.count_symmetry_hits(1);
             }
-            let sleep = plan.successor_sleep(i, done, perm.as_deref(), rec);
+            let sleep = plan.successor_sleep(i, done, perm, rec);
             let step = {
                 let _t = rec.time_dedup();
                 // A successor carrying a genuinely fresh state cannot be in
                 // the snapshot, so it needs no lookup until the merge
                 // interns it.
-                let known = next
-                    .resolved_words()
-                    .and_then(|words| store.find_resident(fingerprint_words(words), words, rec));
+                let (known, fp) = match next.resolved_words() {
+                    Some(words) => {
+                        let fp = fingerprint_words(words);
+                        (store.find_resident(fp, words, rec), Some(fp))
+                    }
+                    None => (None, None),
+                };
                 match known {
                     Some(j) => StepResult::Existing(j),
-                    None => StepResult::Fresh(next),
+                    None => StepResult::Fresh(next.into_pending(), fp),
                 }
             };
             steps.push((pid, step, sleep));
@@ -1014,10 +1065,10 @@ impl<'a> Bfs<'a> {
                 ExploreGoal::Verdict(query) => Some(VerdictEngine::new(query.clone())),
             },
             early_exit: false,
-            mem_budget: if opts.effective_store() == StoreBackend::Disk {
+            mem_budget: if opts.store == StoreBackend::Disk {
                 None
             } else {
-                opts.effective_store_budget()
+                opts.store_budget_bytes
             },
             cur_depth: 0,
             level_len: 0,
@@ -1278,29 +1329,36 @@ impl<'a> Bfs<'a> {
     }
 }
 
-/// Expands one BFS level, splitting it across `opts.threads` workers.
-/// Results are returned in the same order as `level` regardless of the
-/// split.
+/// Expands one BFS level, splitting it across `opts.threads` workers,
+/// the first chunk on `workers[0]`, the next on `workers[1]`, and so on
+/// (grown on demand). Results are returned in the same order as `level`
+/// regardless of the split.
 fn expand_level(
     store: &RowStore,
     level: &[WorkItem],
     x: ExpandCtx<'_>,
+    workers: &mut Vec<Worker>,
 ) -> Result<Vec<Expansion>, SimError> {
-    let expand_chunk = |items: &[WorkItem]| -> Result<Vec<_>, SimError> {
+    let expand_chunk = |items: &[WorkItem], w: &mut Worker| -> Result<Vec<_>, SimError> {
         items
             .iter()
-            .map(|item| expand_node(store, item, x))
+            .map(|item| expand_node(store, item, x, w))
             .collect()
     };
     let threads = x.opts.threads.clamp(1, level.len().max(1));
     if !spawn_workers(threads, level.len()) {
-        return expand_chunk(level);
+        return expand_chunk(level, &mut workers[0]);
     }
     let chunk_size = level.len().div_ceil(threads);
+    let chunks = level.len().div_ceil(chunk_size);
+    if workers.len() < chunks {
+        workers.resize_with(chunks, Worker::default);
+    }
     let results: Vec<Result<Vec<_>, SimError>> = std::thread::scope(|s| {
         let handles: Vec<_> = level
             .chunks(chunk_size)
-            .map(|chunk| s.spawn(move || expand_chunk(chunk)))
+            .zip(workers.iter_mut())
+            .map(|(chunk, w)| s.spawn(move || expand_chunk(chunk, w)))
             .collect();
         handles
             .into_iter()
@@ -1329,6 +1387,7 @@ fn explore_core(
     }
     store.seed(init);
     let mut bfs = Bfs::new(opts, rec);
+    let mut workers = vec![Worker::default()];
     let mut level = vec![WorkItem::fresh(0)];
     let mut frontier_ids: Vec<usize> = Vec::new();
     while !level.is_empty() {
@@ -1348,7 +1407,7 @@ fn explore_core(
             rec,
             lvl,
         };
-        let expansions = expand_level(&store, &level, x)?;
+        let expansions = expand_level(&store, &level, x, &mut workers)?;
         let merge_t = rec.time_merge();
         for (item, exp) in level.iter().zip(expansions) {
             let i = item.node;
@@ -1360,9 +1419,9 @@ fn explore_core(
             for (pid, step, sleep) in exp.steps {
                 let slot = match step {
                     StepResult::Existing(j) => MergeSlot::Known(j),
-                    StepResult::Fresh(next) => {
+                    StepResult::Fresh(next, fp) => {
                         let _t = rec.time_intern();
-                        store.insert(next, level_cap, rec)
+                        store.insert(next, fp, level_cap, rec)
                     }
                 };
                 bfs.step(i, pid, slot, sleep);
@@ -1370,9 +1429,16 @@ fn explore_core(
             bfs.finish_node(i, exp.fired, exp.slept, || store.enabled_bits(i));
         }
         bfs.wake_revisits();
+        // The level's memo fills, in worker (= frontier) order.
+        for w in &mut workers {
+            rec.count_memo(w.log.lookups(), w.log.hits());
+            store.memo.absorb(&mut w.log);
+        }
         drop(merge_t);
         level = bfs.end_level(store.resident_estimate());
     }
+    // The memo is only for stepping: it is dropped before the freeze.
+    rec.set_memo_entries(std::mem::take(&mut store.memo).entries());
     Ok((bfs.finish(), store))
 }
 
@@ -1740,6 +1806,7 @@ impl StateGraph {
             0
         };
         let mut opts = opts.clone();
+        opts.resolve_store();
         // Fast path: a system whose symmetry groups are all singletons has
         // an identity canonicalization, so requesting symmetry would only
         // burn time re-checking sortedness and re-sorting edges. Normalize

@@ -445,7 +445,7 @@ impl CompactConfig {
 /// Equality compares resolved words plus the fresh states, which (over one
 /// interner snapshot) coincides with deep equality of the configurations
 /// they denote.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PendingConfig {
     nobjects: u32,
     words: Box<[u32]>,
@@ -471,6 +471,37 @@ impl PendingConfig {
             nobjects: u32::try_from(nobjects).expect("object count exceeds u32"),
             words: words.into(),
             fresh: Vec::new(),
+        }
+    }
+
+    /// Overwrites this configuration with a copy of `words`, reusing the
+    /// row allocation when the shape matches — the transition memo's
+    /// per-worker row buffer.
+    pub(crate) fn reset_to(&mut self, nobjects: usize, words: &[u32]) {
+        self.nobjects = u32::try_from(nobjects).expect("object count exceeds u32");
+        if self.words.len() == words.len() {
+            self.words.copy_from_slice(words);
+        } else {
+            self.words = words.into();
+        }
+        self.fresh.clear();
+    }
+
+    /// Points slot `slot` at the already-interned state `id`.
+    pub(crate) fn set_id(&mut self, slot: usize, id: u32) {
+        self.set_slot(slot, 0, Some(id), || {
+            unreachable!("an interned id is never fresh")
+        });
+    }
+
+    /// Moves this configuration out into a new allocation, leaving its id
+    /// words behind (its fresh states go with the result), so a reused row
+    /// buffer keeps its allocation.
+    pub(crate) fn detach(&mut self) -> PendingConfig {
+        PendingConfig {
+            nobjects: self.nobjects,
+            words: self.words.clone(),
+            fresh: std::mem::take(&mut self.fresh),
         }
     }
 
@@ -585,13 +616,15 @@ impl PendingConfig {
     }
 
     /// Rearranges the process slots by `perm` (`perm[old] = new`), exactly
-    /// like [`Config::permuted`], rewriting fresh-slot positions too.
-    pub(crate) fn permute_procs(&mut self, perm: &[usize]) {
+    /// like [`Config::permuted`], rewriting fresh-slot positions too. Only
+    /// the process slots are copied, into the caller's `scratch`.
+    pub(crate) fn permute_procs(&mut self, perm: &[usize], scratch: &mut Vec<u32>) {
         let nobjects = self.nobjects();
         debug_assert_eq!(perm.len(), self.nprocs(), "permutation length mismatch");
-        let old = self.words.clone();
-        for (old_i, &new_i) in perm.iter().enumerate() {
-            self.words[nobjects + new_i] = old[nobjects + old_i];
+        scratch.clear();
+        scratch.extend_from_slice(&self.words[nobjects..]);
+        for (&old_id, &new_i) in scratch.iter().zip(perm) {
+            self.words[nobjects + new_i] = old_id;
         }
         for f in &mut self.fresh {
             let slot = f.slot as usize;
@@ -754,7 +787,7 @@ mod tests {
         );
         assert!(!pending.is_resolved());
         // Swap the two procs: the fresh state must follow slot 0 → 1.
-        pending.permute_procs(&[1, 0]);
+        pending.permute_procs(&[1, 0], &mut Vec::new());
         assert_eq!(pending.proc_ref(&interner, 0).local, Value::Nil);
         assert_eq!(pending.proc_ref(&interner, 1).local, Value::Int(7));
         let compact = interner.finalize(pending);

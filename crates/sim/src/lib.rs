@@ -84,6 +84,7 @@ mod implementation;
 mod intern;
 pub mod json;
 mod linearize;
+mod memo;
 mod metrics;
 mod object;
 mod op;
@@ -102,6 +103,7 @@ pub use ids::{ObjId, Pid};
 pub use implementation::{ImplStep, Implementation};
 pub use intern::{CompactConfig, InternerStats, PendingConfig, StateInterner};
 pub use linearize::{check_linearizable, is_linearizable, LinearizeError, MAX_OPS};
+pub use memo::{MemoLog, MemoSuccessors, Successor, TransitionMemo};
 pub use metrics::{
     env_flag, git_revision, mc_env_json, unix_time_ms, warn_once, ExploreMetrics, LevelMetrics,
     PhaseGuard, ProgressReport, Recorder, RunRecord, StoreMetrics, TruncationCause,
@@ -117,8 +119,8 @@ pub use sched::{
     ReplayChooser, ReplayScheduler, RoundRobin, Scheduler,
 };
 pub use system::{
-    Config, ProcState, ProcStatus, StepFootprint, StepInfo, SymmetryGroups, SystemBuilder,
-    SystemSpec,
+    CanonScratch, Config, ProcState, ProcStatus, StepFootprint, StepInfo, SymmetryGroups,
+    SystemBuilder, SystemSpec,
 };
 pub use trace::{Trace, TraceEvent};
 pub use value::Value;

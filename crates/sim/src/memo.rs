@@ -1,0 +1,418 @@
+//! The per-exploration transition memo.
+//!
+//! In the oblivious object model one step is a pure function of the
+//! stepping pid, its process state and the state of the object it targets:
+//! [`Protocol::step`](crate::Protocol::step) sees only the process's own
+//! context, local state and last response, and
+//! [`ObjectSpec::apply`](crate::ObjectSpec::apply) only the object state and
+//! the operation (both contracts are stated on the traits). Over one
+//! [`StateInterner`], whose ids stand for states one-to-one, a step is
+//! therefore a function of ids, and a [`TransitionMemo`] stores it under
+//! two keys:
+//!
+//! * `(pid, proc id)` → the process's next action, reduced to its
+//!   [`StepFootprint`] plus one interned process state that carries the
+//!   action's in-flight local state (for a decide: the decided successor
+//!   itself). The same entry answers the partial-order reduction's
+//!   footprint query, so a footprint and a step share one protocol step.
+//! * `(pid, proc id, targeted object-state id)` → the step's distinct
+//!   outcomes as `(object-state id, proc id)` pairs, in the object's
+//!   outcome order, in one flat array. Hangs and multiple outcomes (a
+//!   set-consensus object's outcome list) are kept exactly.
+//!
+//! [`SystemSpec::memo_successors`] answers a known transition with id
+//! copies — no protocol step, no `apply`, no hashing of state values — and
+//! falls back to the uncached
+//! [`SystemSpec::compact_successors`](crate::SystemSpec::compact_successors)
+//! on a miss. Readers never write: a miss whose outcome states were all
+//! already interned is recorded in the caller's [`MemoLog`], and a single
+//! writer [`absorb`](TransitionMemo::absorb)s the logs in a fixed order. A
+//! miss with a fresh state is not recorded (its ids do not exist yet); it
+//! is recorded the next time it recurs. What the memo holds is therefore a
+//! function of the interner's contents, never of how the work was split.
+//! Errors are never recorded: a step that fails returns before anything is
+//! logged.
+
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::size_of;
+use std::ops::{Deref, DerefMut};
+
+use crate::error::SimError;
+use crate::ids::{ObjId, Pid};
+use crate::intern::{PendingConfig, StateInterner};
+use crate::system::{StepFootprint, SystemSpec};
+use crate::value::Value;
+
+/// The object-state word of an outcome that touches no object (a decide).
+const NO_OBJECT: u32 = u32::MAX;
+
+/// A multiplicative hasher for small keys of interner ids: the keys are
+/// dense integers produced by this process, so a DoS-resistant hash buys
+/// nothing here and costs a large share of a memo hit.
+#[derive(Clone, Copy, Debug, Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// `(pid, proc id)`.
+type ActionKey = (u32, u32);
+
+/// `(pid, proc id, targeted object-state id)`.
+type TransitionKey = (u32, u32, u32);
+
+/// A memoized action of one `(pid, proc id)`.
+#[derive(Clone, Debug)]
+struct MemoAction {
+    footprint: StepFootprint,
+    /// For a decide ([`StepFootprint::Local`]), the decided successor's
+    /// proc id. For an invocation, the proc id of one of its outcomes,
+    /// whose `local` is the action's in-flight local state.
+    proc: u32,
+}
+
+/// Approximate resident bytes per map entry beyond the key and value: the
+/// control byte plus the table's slack at its maximum load factor.
+const MAP_ENTRY_OVERHEAD: usize = 8;
+
+/// An exploration's memo of the transitions it has taken, keyed by
+/// interner ids — see the module docs. Ids are only meaningful relative to
+/// the [`StateInterner`] the memo was filled against.
+#[derive(Debug, Default)]
+pub struct TransitionMemo {
+    actions: IdMap<ActionKey, MemoAction>,
+    transitions: IdMap<TransitionKey, (u32, u32)>,
+    /// The outcomes of every transition, `(object-state id, proc id)`;
+    /// `transitions` values are `(start, len)` ranges into it.
+    outcomes: Vec<[u32; 2]>,
+    /// Approximate heap bytes of the memoized operations' arguments.
+    op_bytes: usize,
+}
+
+impl TransitionMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The number of keys stored: memoized actions plus memoized
+    /// transitions.
+    pub fn entries(&self) -> usize {
+        self.actions.len() + self.transitions.len()
+    }
+
+    /// Approximate resident bytes of the memo, from its entry counts (so
+    /// the figure does not depend on how its fills were batched).
+    pub fn bytes(&self) -> usize {
+        self.actions.len() * (size_of::<(ActionKey, MemoAction)>() + MAP_ENTRY_OVERHEAD)
+            + self.transitions.len()
+                * (size_of::<(TransitionKey, (u32, u32))>() + MAP_ENTRY_OVERHEAD)
+            + self.outcomes.len() * size_of::<[u32; 2]>()
+            + self.op_bytes
+    }
+
+    /// Files every fill recorded in `log`, keeping the first entry of a
+    /// key logged twice (equal, by purity), and empties `log` — its
+    /// counters included — for reuse.
+    pub fn absorb(&mut self, log: &mut MemoLog) {
+        for (key, action) in log.actions.drain(..) {
+            if let Entry::Vacant(slot) = self.actions.entry(key) {
+                if let StepFootprint::Object { op, .. } = &action.footprint {
+                    self.op_bytes += op.args.len() * size_of::<Value>();
+                }
+                slot.insert(action);
+            }
+        }
+        for (key, start, len) in log.transitions.drain(..) {
+            if let Entry::Vacant(slot) = self.transitions.entry(key) {
+                let at = u32::try_from(self.outcomes.len()).expect("memo exceeds u32 outcomes");
+                self.outcomes
+                    .extend_from_slice(&log.outcomes[start as usize..(start + len) as usize]);
+                slot.insert((at, len));
+            }
+        }
+        log.outcomes.clear();
+        log.lookups = 0;
+        log.hits = 0;
+    }
+
+    fn action(&self, pid: Pid, proc_id: u32) -> Option<&MemoAction> {
+        self.actions.get(&(pid_word(pid), proc_id))
+    }
+}
+
+fn pid_word(pid: Pid) -> u32 {
+    u32::try_from(pid.index()).expect("pid exceeds u32")
+}
+
+/// A reader's record of the transitions it stepped without the memo's
+/// help and could have used it for, plus its lookup and hit counts, until
+/// [`TransitionMemo::absorb`] files them.
+#[derive(Debug, Default)]
+pub struct MemoLog {
+    actions: Vec<(ActionKey, MemoAction)>,
+    /// Keys with `(start, len)` ranges into `outcomes`.
+    transitions: Vec<(TransitionKey, u32, u32)>,
+    outcomes: Vec<[u32; 2]>,
+    lookups: u64,
+    hits: u64,
+}
+
+impl MemoLog {
+    /// Steps looked up in the memo since the last absorb.
+    pub fn lookups(&self) -> u64 {
+        self.lookups
+    }
+
+    /// Lookups answered entirely from the memo since the last absorb.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+}
+
+/// The successors of one step produced by
+/// [`SystemSpec::memo_successors`], reused from step to step: a memo hit
+/// keeps only outcome ids and writes each successor into one row buffer on
+/// demand; a miss keeps the stepped [`PendingConfig`]s.
+#[derive(Debug, Default)]
+pub struct MemoSuccessors {
+    /// The stepped configuration's id words.
+    base: Vec<u32>,
+    nobjects: usize,
+    /// The stepped process's slot.
+    proc_slot: usize,
+    /// The targeted object's slot (memo hits on an invocation).
+    obj_slot: Option<usize>,
+    /// Memo hit: the outcomes as `(object-state id, proc id)`.
+    hit: Vec<[u32; 2]>,
+    /// Memo miss: the stepped successors.
+    stepped: Vec<PendingConfig>,
+    /// The row buffer memo hits are written into.
+    row: PendingConfig,
+}
+
+impl MemoSuccessors {
+    fn reset(&mut self, nobjects: usize, words: &[u32], proc_slot: usize) {
+        self.base.clear();
+        self.base.extend_from_slice(words);
+        self.nobjects = nobjects;
+        self.proc_slot = proc_slot;
+        self.obj_slot = None;
+        self.hit.clear();
+        self.stepped.clear();
+    }
+
+    /// The number of successors (distinct outcomes).
+    pub fn len(&self) -> usize {
+        self.hit.len() + self.stepped.len()
+    }
+
+    /// Returns `true` if the step had no successor (never, after a
+    /// successful [`SystemSpec::memo_successors`]).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Successor `k`, in the object's outcome order: a memo hit is written
+    /// into the reused row buffer here, a miss lends its stepped
+    /// configuration. Either may be rewritten in place (canonicalized)
+    /// before [`Successor::into_pending`] keeps it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.len()`.
+    pub fn successor(&mut self, k: usize) -> Successor<'_> {
+        if k < self.stepped.len() {
+            return Successor {
+                pending: &mut self.stepped[k],
+                reused: false,
+            };
+        }
+        let [obj_state, proc] = self.hit[k];
+        self.row.reset_to(self.nobjects, &self.base);
+        if let Some(slot) = self.obj_slot {
+            self.row.set_id(slot, obj_state);
+        }
+        self.row.set_id(self.proc_slot, proc);
+        Successor {
+            pending: &mut self.row,
+            reused: true,
+        }
+    }
+}
+
+/// One successor lent by [`MemoSuccessors::successor`]; dereferences to
+/// its [`PendingConfig`].
+#[derive(Debug)]
+pub struct Successor<'a> {
+    pending: &'a mut PendingConfig,
+    /// Lent from the reused row buffer (copied out to keep) rather than
+    /// from a stepped configuration (moved out).
+    reused: bool,
+}
+
+impl Successor<'_> {
+    /// Keeps the successor as an owned configuration. Only a memo hit
+    /// allocates here (its row buffer stays behind for reuse).
+    pub fn into_pending(self) -> PendingConfig {
+        if self.reused {
+            self.pending.detach()
+        } else {
+            std::mem::take(self.pending)
+        }
+    }
+}
+
+impl Deref for Successor<'_> {
+    type Target = PendingConfig;
+
+    fn deref(&self) -> &PendingConfig {
+        self.pending
+    }
+}
+
+impl DerefMut for Successor<'_> {
+    fn deref_mut(&mut self) -> &mut PendingConfig {
+        self.pending
+    }
+}
+
+impl SystemSpec {
+    /// [`SystemSpec::compact_footprint`] answered from `memo` when `pid`'s
+    /// action in `words` is memoized (borrowed, no protocol step), else
+    /// computed.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`SystemSpec::compact_footprint`].
+    pub fn memo_footprint<'m>(
+        &self,
+        interner: &StateInterner,
+        memo: &'m TransitionMemo,
+        words: &[u32],
+        pid: Pid,
+    ) -> Result<Cow<'m, StepFootprint>, SimError> {
+        let known = words
+            .get(self.nobjects() + pid.index())
+            .and_then(|&proc_id| memo.action(pid, proc_id));
+        match known {
+            Some(action) => Ok(Cow::Borrowed(&action.footprint)),
+            None => self.compact_footprint(interner, words, pid).map(Cow::Owned),
+        }
+    }
+
+    /// The successors of scheduling `pid` in the interned configuration
+    /// `words`, through `memo`: exactly those of
+    /// [`SystemSpec::compact_successors`], in the same order, left in
+    /// `out`. A memoized transition is replayed as id copies; otherwise the
+    /// step runs (with the memoized action, if any) and, when every outcome
+    /// state is already interned, the transition is recorded in `log`.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`SystemSpec::compact_successors`]; nothing is
+    /// recorded for a failing step.
+    pub fn memo_successors(
+        &self,
+        interner: &StateInterner,
+        memo: &TransitionMemo,
+        words: &[u32],
+        pid: Pid,
+        out: &mut MemoSuccessors,
+        log: &mut MemoLog,
+    ) -> Result<(), SimError> {
+        let nobjects = self.nobjects();
+        let proc_slot = nobjects + pid.index();
+        out.reset(nobjects, words, proc_slot);
+        let proc_id = *words
+            .get(proc_slot)
+            .ok_or(SimError::ProcessNotEnabled(pid))?;
+        log.lookups += 1;
+        let (target, new_action) = match memo.action(pid, proc_id) {
+            Some(MemoAction {
+                footprint: StepFootprint::Local,
+                proc,
+            }) => {
+                log.hits += 1;
+                out.hit.push([NO_OBJECT, *proc]);
+                return Ok(());
+            }
+            Some(MemoAction {
+                footprint: StepFootprint::Object { obj, op },
+                proc,
+            }) => {
+                let key = (pid_word(pid), proc_id, words[obj.index()]);
+                if let Some(&(start, len)) = memo.transitions.get(&key) {
+                    log.hits += 1;
+                    out.obj_slot = Some(obj.index());
+                    out.hit
+                        .extend_from_slice(&memo.outcomes[start as usize..(start + len) as usize]);
+                    return Ok(());
+                }
+                let local = interner.proc(*proc).local.clone();
+                let object = |o: ObjId| interner.object(words[o.index()]);
+                let write = self.pending_writer(interner, words, pid, &mut out.stepped);
+                self.invoke_outcomes(pid, *obj, op, local, object, write)?;
+                (Some(*obj), None)
+            }
+            None => {
+                let action =
+                    self.compact_successors_into(interner, words, pid, &mut out.stepped)?;
+                (action.as_ref().map(|(obj, _)| *obj), Some(action))
+            }
+        };
+        if !out.stepped.iter().all(PendingConfig::is_resolved) {
+            return Ok(());
+        }
+        let start = log.outcomes.len();
+        for next in &out.stepped {
+            let w = next.resolved_words().expect("checked resolved");
+            let obj_state = target.map_or(NO_OBJECT, |obj| w[obj.index()]);
+            log.outcomes.push([obj_state, w[proc_slot]]);
+        }
+        let key = (pid_word(pid), proc_id);
+        if let Some(action) = new_action {
+            let footprint = match action {
+                None => StepFootprint::Local,
+                Some((obj, op)) => StepFootprint::Object { obj, op },
+            };
+            let proc = log.outcomes[start][1];
+            log.actions.push((key, MemoAction { footprint, proc }));
+        }
+        match target {
+            Some(obj) => {
+                let at = u32::try_from(start).expect("memo log exceeds u32 outcomes");
+                let len = u32::try_from(out.stepped.len()).expect("outcome count exceeds u32");
+                log.transitions
+                    .push(((key.0, key.1, words[obj.index()]), at, len));
+            }
+            // A decide's successor is the action entry itself.
+            None => log.outcomes.truncate(start),
+        }
+        Ok(())
+    }
+}

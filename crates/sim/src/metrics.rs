@@ -439,6 +439,15 @@ pub struct ExploreMetrics {
     pub sleep_pruned: u64,
     /// Node expansions (work items) performed.
     pub expansions: u64,
+    /// Steps looked up in the exploration's transition memo (one per
+    /// fired pid per expansion).
+    pub memo_lookups: u64,
+    /// Memo lookups answered from the memo: no protocol step, no object
+    /// `apply`, no state hashing.
+    pub memo_hits: u64,
+    /// Keys in the transition memo when the exploration ended: memoized
+    /// actions plus memoized transitions.
+    pub memo_entries: u64,
     /// One record per BFS level.
     pub levels: Vec<LevelMetrics>,
     /// Peak resident-byte estimate of the exploration: the high-water mark
@@ -512,6 +521,7 @@ impl ExploreMetrics {
             "{{\"configs\": {}, \"edges\": {}, \"generated\": {}, \
              \"dedup_hits\": {}, \"added\": {}, \"capped\": {}, \
              \"symmetry_hits\": {}, \"sleep_pruned\": {}, \"expansions\": {}, \
+             \"memo_lookups\": {}, \"memo_hits\": {}, \"memo_entries\": {}, \
              \"peak_bytes\": {}, \"truncation\": {truncation}, \
              \"store\": {store}, \
              \"timed\": {}, \"phases\": {}, \"levels\": [{}]}}",
@@ -524,6 +534,9 @@ impl ExploreMetrics {
             self.symmetry_hits,
             self.sleep_pruned,
             self.expansions,
+            self.memo_lookups,
+            self.memo_hits,
+            self.memo_entries,
             self.peak_bytes,
             self.timed,
             self.phases_json(),
@@ -559,6 +572,11 @@ impl fmt::Display for ExploreMetrics {
             self.capped,
             self.symmetry_hits,
             self.sleep_pruned
+        )?;
+        writeln!(
+            f,
+            "transition memo: {}/{} lookups hit, {} entries",
+            self.memo_hits, self.memo_lookups, self.memo_entries
         )?;
         if self.timed {
             let ms = |ns: u64| ns as f64 / 1e6;
@@ -779,6 +797,9 @@ pub struct Recorder {
     symmetry_hits: AtomicU64,
     sleep_pruned: AtomicU64,
     expansions: AtomicU64,
+    memo_lookups: AtomicU64,
+    memo_hits: AtomicU64,
+    memo_entries: AtomicU64,
     /// `u64::MAX` = complete; anything else is the `max_configs` cap hit.
     truncation_cap: AtomicU64,
     /// `u64::MAX` = no budget truncation; anything else is the byte budget
@@ -843,6 +864,9 @@ impl Recorder {
             symmetry_hits: AtomicU64::new(0),
             sleep_pruned: AtomicU64::new(0),
             expansions: AtomicU64::new(0),
+            memo_lookups: AtomicU64::new(0),
+            memo_hits: AtomicU64::new(0),
+            memo_entries: AtomicU64::new(0),
             truncation_cap: AtomicU64::new(u64::MAX),
             budget_limit: AtomicU64::new(u64::MAX),
             peak_bytes: AtomicU64::new(0),
@@ -1094,6 +1118,17 @@ impl Recorder {
     /// Counts node expansions (work items).
     pub fn count_expansions(&self, n: u64) {
         self.expansions.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Counts transition-memo lookups and the hits among them.
+    pub fn count_memo(&self, lookups: u64, hits: u64) {
+        self.memo_lookups.fetch_add(lookups, Ordering::Relaxed);
+        self.memo_hits.fetch_add(hits, Ordering::Relaxed);
+    }
+
+    /// Records the transition memo's final key count.
+    pub fn set_memo_entries(&self, entries: usize) {
+        self.memo_entries.store(entries as u64, Ordering::Relaxed);
     }
 
     /// Records that the exploration hit the `cap` configuration bound.
@@ -1360,6 +1395,9 @@ impl Recorder {
             symmetry_hits: self.symmetry_hits.load(Ordering::Relaxed),
             sleep_pruned: self.sleep_pruned.load(Ordering::Relaxed),
             expansions: self.expansions.load(Ordering::Relaxed),
+            memo_lookups: self.memo_lookups.load(Ordering::Relaxed),
+            memo_hits: self.memo_hits.load(Ordering::Relaxed),
+            memo_entries: self.memo_entries.load(Ordering::Relaxed),
             levels: self.levels.lock().expect("levels lock").clone(),
             peak_bytes: self.peak_bytes.load(Ordering::Relaxed) as usize,
             store,

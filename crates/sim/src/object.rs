@@ -104,6 +104,15 @@ pub trait ObjectSpec: fmt::Debug + Send + Sync {
     /// Deterministic objects return exactly one outcome. The returned vector
     /// must be non-empty for a legal operation.
     ///
+    /// **Purity contract.** `apply` must be a pure function of `state` and
+    /// `op`: the same arguments always yield the same outcomes (or the same
+    /// error), in the same order, with no dependence on interior
+    /// mutability, randomness or call history. The model checker relies on
+    /// it: its transition memo ([`TransitionMemo`](crate::TransitionMemo))
+    /// applies each (operation, object state) pair once per exploration
+    /// and replays the recorded outcomes from then on, so an impure `apply`
+    /// would be explored as if it always answered as it did the first time.
+    ///
     /// # Errors
     ///
     /// Returns an [`ObjectError`] if the operation cannot be interpreted

@@ -105,6 +105,10 @@ pub trait Protocol: fmt::Debug + Send + Sync {
     /// Takes one step: given the local state and the response to the previous
     /// invocation (`None` on the first step), returns the next [`Action`].
     ///
+    /// Like [`ObjectSpec::apply`](crate::ObjectSpec::apply), `step` must be
+    /// a pure function of its arguments: the model checker's transition
+    /// memo runs it once per (process, process state) and reuses the action.
+    ///
     /// # Errors
     ///
     /// Returns a [`ProtocolError`] if the local state or response has an

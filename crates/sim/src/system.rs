@@ -519,22 +519,24 @@ impl SystemSpec {
     /// `write` — the touched object with the applied operation and its
     /// next state (`None` for a decide), and the stepped process's next
     /// state. `object` resolves the state of the object the step targets.
+    /// Returns the invoked object and operation (`None` for a decide), so
+    /// the transition memo can keep them without a second protocol step.
     ///
-    /// Every step rule lives here — decide vs invoke, hang vs response,
-    /// the errors (all raised before the first `write`), and the collapse
-    /// of equal outcomes to their first occurrence, in the object's
-    /// outcome order — so [`SystemSpec::successors`] and
-    /// [`SystemSpec::compact_successors`] only write the outcomes into a
-    /// [`Config`] or a [`PendingConfig`].
+    /// Every step rule lives here and in [`SystemSpec::invoke_outcomes`] —
+    /// decide vs invoke, hang vs response, the errors (all raised before
+    /// the first `write`), and the collapse of equal outcomes to their
+    /// first occurrence, in the object's outcome order — so
+    /// [`SystemSpec::successors`] and [`SystemSpec::compact_successors`]
+    /// only write the outcomes into a [`Config`] or a [`PendingConfig`].
     fn step_outcomes<'a>(
         &self,
         pid: Pid,
         proc: Option<&ProcState>,
         object: impl FnOnce(ObjId) -> &'a Value,
         mut write: impl FnMut(Option<(ObjId, &Op, Value)>, ProcState),
-    ) -> Result<(), SimError> {
+    ) -> Result<Option<(ObjId, Op)>, SimError> {
         let proc = proc.ok_or(SimError::ProcessNotEnabled(pid))?;
-        let (mut local, obj, op) = match self.action_of(pid, proc)? {
+        match self.action_of(pid, proc)? {
             Action::Decide(value) => {
                 let decided = ProcState {
                     local: proc.local.clone(),
@@ -542,16 +544,35 @@ impl SystemSpec {
                     status: ProcStatus::Decided(value),
                 };
                 write(None, decided);
-                return Ok(());
+                Ok(None)
             }
-            Action::Invoke { local, obj, op } => (local, obj, op),
-        };
+            Action::Invoke { local, obj, op } => {
+                self.invoke_outcomes(pid, obj, &op, local, object, write)?;
+                Ok(Some((obj, op)))
+            }
+        }
+    }
+
+    /// The invoke half of [`SystemSpec::step_outcomes`]: applies `op` to
+    /// object `obj` on behalf of `pid`, whose in-flight local state is
+    /// `local`, and writes each distinct outcome. The transition memo
+    /// calls it directly when it already knows `pid`'s action but not its
+    /// outcomes in this object state.
+    pub(crate) fn invoke_outcomes<'a>(
+        &self,
+        pid: Pid,
+        obj: ObjId,
+        op: &Op,
+        mut local: Value,
+        object: impl FnOnce(ObjId) -> &'a Value,
+        mut write: impl FnMut(Option<(ObjId, &Op, Value)>, ProcState),
+    ) -> Result<(), SimError> {
         let spec = self
             .objects
             .get(obj.index())
             .ok_or(SimError::UnknownObject { pid, obj })?;
         let mut outcomes = spec
-            .apply(object(obj), &op)
+            .apply(object(obj), op)
             .map_err(|source| SimError::Object { obj, pid, source })?;
         if outcomes.is_empty() {
             return Err(SimError::NoOutcomes { obj, pid });
@@ -583,7 +604,7 @@ impl SystemSpec {
                 resp: out.response,
                 status,
             };
-            write(Some((obj, &op, out.state)), next);
+            write(Some((obj, op, out.state)), next);
         }
         Ok(())
     }
@@ -709,7 +730,10 @@ impl SystemSpec {
     /// [`StateInterner::finalize`].
     ///
     /// The successors are those of [`SystemSpec::successors`], in the same
-    /// order: both write the outcomes of one step relation.
+    /// order: both write the outcomes of one step relation. This is the
+    /// uncached primitive; the explorer reaches it through
+    /// [`SystemSpec::memo_successors`](crate::SystemSpec::memo_successors)
+    /// on a transition-memo miss.
     ///
     /// # Errors
     ///
@@ -720,38 +744,86 @@ impl SystemSpec {
         words: &[u32],
         pid: Pid,
     ) -> Result<Vec<PendingConfig>, SimError> {
+        let mut succs = Vec::new();
+        self.compact_successors_into(interner, words, pid, &mut succs)?;
+        Ok(succs)
+    }
+
+    /// [`SystemSpec::compact_successors`] appending to `out`, returning the
+    /// invoked object and operation (`None` for a decide).
+    pub(crate) fn compact_successors_into(
+        &self,
+        interner: &StateInterner,
+        words: &[u32],
+        pid: Pid,
+        out: &mut Vec<PendingConfig>,
+    ) -> Result<Option<(ObjId, Op)>, SimError> {
+        let proc = words
+            .get(self.nobjects() + pid.index())
+            .map(|&id| interner.proc(id));
+        let object = |obj: ObjId| interner.object(words[obj.index()]);
+        self.step_outcomes(
+            pid,
+            proc,
+            object,
+            self.pending_writer(interner, words, pid, out),
+        )
+    }
+
+    /// The `write` half of the id-space step: each outcome of `pid`'s step
+    /// at `words` becomes one [`PendingConfig`] pushed onto `out`.
+    pub(crate) fn pending_writer<'w>(
+        &self,
+        interner: &'w StateInterner,
+        words: &'w [u32],
+        pid: Pid,
+        out: &'w mut Vec<PendingConfig>,
+    ) -> impl FnMut(Option<(ObjId, &Op, Value)>, ProcState) + 'w {
         let nobjects = self.nobjects();
         let i = pid.index();
-        let proc = words.get(nobjects + i).map(|&id| interner.proc(id));
-        let object = |obj: ObjId| interner.object(words[obj.index()]);
-        let mut succs = Vec::new();
-        self.step_outcomes(pid, proc, object, |touched, stepped| {
+        move |touched, stepped| {
             let mut next = PendingConfig::copy_of(nobjects, words);
             if let Some((obj, _, state)) = touched {
                 next.set_object_state(interner, obj.index(), state);
             }
             next.set_proc_state(interner, i, stepped);
-            succs.push(next);
-        })?;
-        Ok(succs)
+            out.push(next);
+        }
     }
 
     /// Canonicalizes `pending` in id space, returning the applied pid
     /// permutation (`perm[old] = new`), or `None` when the configuration
     /// was already canonical. Tests check it against the separate deep
-    /// sort of [`SystemSpec::canonicalize_config_perm`].
-    ///
-    /// Group members are ordered by their underlying [`ProcState`]s with an
-    /// id shortcut (equal resolved ids ⇒ equal states, by the interning
-    /// invariant), so the chosen permutation — and hence the canonical
-    /// representative — is identical to the deep path's.
+    /// sort of [`SystemSpec::canonicalize_config_perm`]; the explorer calls
+    /// [`SystemSpec::canonicalize_in_place`], the one routine behind both.
     pub fn compact_canonicalize(
         &self,
         interner: &StateInterner,
         pending: &mut PendingConfig,
     ) -> Option<Vec<usize>> {
-        let nprocs = pending.nprocs();
-        let mut perm: Option<Vec<usize>> = None;
+        self.canonicalize_in_place(interner, pending, &mut CanonScratch::default())
+            .map(<[usize]>::to_vec)
+    }
+
+    /// The id-space canonicalization: rewrites `pending` into its orbit's
+    /// canonical representative and returns the applied pid permutation
+    /// (`perm[old] = new`, borrowed from `scratch`), or `None` when the
+    /// configuration was already canonical. Every buffer it needs lives in
+    /// `scratch`, so a reused scratch makes it allocation-free unless an
+    /// object state has to be relabeled.
+    ///
+    /// Group members are ordered by their underlying [`ProcState`]s with an
+    /// id shortcut (equal resolved ids ⇒ equal states, by the interning
+    /// invariant), so the chosen permutation — and hence the canonical
+    /// representative — is identical to the deep path's.
+    pub fn canonicalize_in_place<'s>(
+        &self,
+        interner: &StateInterner,
+        pending: &mut PendingConfig,
+        scratch: &'s mut CanonScratch,
+    ) -> Option<&'s [usize]> {
+        let CanonScratch { perm, order, procs } = scratch;
+        let mut permuted = false;
         {
             let cmp = |a: usize, b: usize| -> Ordering {
                 if pending.procs_equal_ids(a, b) {
@@ -768,27 +840,45 @@ impl SystemSpec {
                 if sorted {
                     continue;
                 }
-                let perm = perm.get_or_insert_with(|| (0..nprocs).collect());
+                if !permuted {
+                    perm.clear();
+                    perm.extend(0..pending.nprocs());
+                    permuted = true;
+                }
                 // Stable sort of the group's old indices by state; ties keep
                 // ascending pid order, matching `Config::canonical_perm`.
-                let mut order: Vec<usize> = group.iter().map(|p| p.index()).collect();
+                order.clear();
+                order.extend(group.iter().map(|p| p.index()));
                 order.sort_by(|&a, &b| cmp(a, b));
-                for (slot, &old) in group.iter().zip(&order) {
+                for (slot, &old) in group.iter().zip(order.iter()) {
                     perm[old] = slot.index();
                 }
             }
         }
-        let perm = perm?;
-        pending.permute_procs(&perm);
+        if !permuted {
+            return None;
+        }
+        pending.permute_procs(perm, procs);
         for idx in 0..self.objects.len() {
             if let Some(state) =
-                self.objects[idx].relabel_pids(pending.object_ref(interner, idx), &perm)
+                self.objects[idx].relabel_pids(pending.object_ref(interner, idx), perm)
             {
                 pending.set_object_state(interner, idx, state);
             }
         }
+        let perm: &'s Vec<usize> = perm;
         Some(perm)
     }
+}
+
+/// Reusable buffers of [`SystemSpec::canonicalize_in_place`]: the
+/// permutation it returns, the sort order of one symmetry group and a copy
+/// of the process slots being permuted.
+#[derive(Clone, Debug, Default)]
+pub struct CanonScratch {
+    perm: Vec<usize>,
+    order: Vec<usize>,
+    procs: Vec<u32>,
 }
 
 /// Incremental builder for [`SystemSpec`].

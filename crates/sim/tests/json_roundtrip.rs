@@ -107,6 +107,9 @@ fn busy_metrics() -> ExploreMetrics {
         symmetry_hits: 5,
         sleep_pruned: 6,
         expansions: 999,
+        memo_lookups: 700,
+        memo_hits: 650,
+        memo_entries: 42,
         levels: vec![
             LevelMetrics {
                 level: 0,
@@ -140,6 +143,9 @@ fn explore_metrics_round_trip() {
     assert_eq!(u(&v, "configs"), 1000);
     assert_eq!(u(&v, "edges"), 2500);
     assert_eq!(u(&v, "peak_bytes"), 123_456);
+    assert_eq!(u(&v, "memo_lookups"), 700);
+    assert_eq!(u(&v, "memo_hits"), 650);
+    assert_eq!(u(&v, "memo_entries"), 42);
     assert_eq!(v.get("timed").and_then(JsonValue::as_bool), Some(true));
     let phases = v.get("phases").expect("phases object");
     assert_eq!(u(phases, "total_ns"), 200);

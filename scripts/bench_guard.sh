@@ -28,10 +28,11 @@
 # 3. Disk-store equivalence: the smoke bench runs once more with
 #    MC_STORE=disk and a 64 KiB hot-tier budget, so every Auto-backend
 #    exploration spills frontier rows and the fingerprint index to disk
-#    (interned states always stay resident). The GUARD, VERDICT and
-#    INTERNER lines must be byte-identical to the in-memory run
+#    (interned states always stay resident). The GUARD, VERDICT,
+#    INTERNER and MEMO lines must be byte-identical to the in-memory run
 #    (spilling must never change the explored graph, its frozen
-#    footprint or the interner's arenas and hit counters), at least one
+#    footprint, the interner's arenas and hit counters or the transition
+#    memo's lookups, hits and entries), at least one
 #    SPILL line must report nonzero spilled bytes (the explicit disk rows
 #    with their tiny budget), at least one must report nonzero index
 #    reads (so the identity above covers dedup probes against a drained,
@@ -62,7 +63,7 @@ if grep -q '"dirty": true' "$BASELINE"; then
 fi
 
 caller_interner_stats="${INTERNER_STATS:-}"
-raw=$(INTERNER_STATS=1 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|INTERNER|VERDICT) ' || true)
+raw=$(INTERNER_STATS=1 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|INTERNER|VERDICT|MEMO) ' || true)
 fresh=$(grep '^GUARD ' <<<"$raw" || true)
 if [[ -z "$fresh" ]]; then
   echo "bench_guard: smoke run produced no GUARD lines" >&2
@@ -147,11 +148,12 @@ echo "bench_guard: verdict goal OK ($(wc -l <<<"$fresh_v") VERDICT lines, early 
 # Gate 3: disk-store equivalence. Route every Auto-backend exploration
 # through the disk store with a hot tier small enough that the large
 # fixtures actually spill; the explored graphs — the frozen, unspilled
-# footprints behind approx_bytes_per_config and the interner counters
-# included — must be byte-identical to the in-memory run.
-disk_raw=$(MC_STORE=disk MC_STORE_BUDGET=65536 INTERNER_STATS=1 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|INTERNER|VERDICT|SPILL) ' || true)
-disk_g=$(grep -E '^(GUARD|INTERNER|VERDICT) ' <<<"$disk_raw" || true)
-mem_g=$(grep -E '^(GUARD|INTERNER|VERDICT) ' <<<"$raw" || true)
+# footprints behind approx_bytes_per_config, the interner counters and the
+# transition-memo counters included — must be byte-identical to the
+# in-memory run.
+disk_raw=$(MC_STORE=disk MC_STORE_BUDGET=65536 INTERNER_STATS=1 BENCH_SMOKE=1 cargo bench -q -p subconsensus-bench --bench e9_modelcheck 2>&1 | grep -E '^(GUARD|INTERNER|VERDICT|MEMO|SPILL) ' || true)
+disk_g=$(grep -E '^(GUARD|INTERNER|VERDICT|MEMO) ' <<<"$disk_raw" || true)
+mem_g=$(grep -E '^(GUARD|INTERNER|VERDICT|MEMO) ' <<<"$raw" || true)
 if [[ -z "$disk_g" ]]; then
   echo "bench_guard: MC_STORE=disk smoke run produced no GUARD lines" >&2
   exit 1
@@ -160,8 +162,12 @@ if ! grep -q '^INTERNER ' <<<"$disk_g"; then
   echo "bench_guard: MC_STORE=disk smoke run produced no INTERNER lines" >&2
   exit 1
 fi
+if ! grep -q '^MEMO ' <<<"$disk_g"; then
+  echo "bench_guard: MC_STORE=disk smoke run produced no MEMO lines" >&2
+  exit 1
+fi
 if ! diff <(echo "$mem_g") <(echo "$disk_g") >/dev/null; then
-  echo "bench_guard: FAILED — GUARD/INTERNER/VERDICT lines diverge between MC_STORE=disk and memory:"
+  echo "bench_guard: FAILED — GUARD/INTERNER/VERDICT/MEMO lines diverge between MC_STORE=disk and memory:"
   diff <(echo "$mem_g") <(echo "$disk_g") | sed 's/^/bench_guard:   /' || true
   exit 1
 fi
@@ -192,7 +198,7 @@ if [[ -n "$leftover" ]]; then
   sed 's/^/bench_guard:   /' <<<"$leftover" >&2
   exit 1
 fi
-echo "bench_guard: disk store OK (GUARD/INTERNER/VERDICT identical under MC_STORE=disk, $spilled SPILL rows, $probed with index reads, run dirs cleaned)"
+echo "bench_guard: disk store OK (GUARD/INTERNER/VERDICT/MEMO identical under MC_STORE=disk, $spilled SPILL rows, $probed with index reads, run dirs cleaned)"
 
 # Gate 4: the mc-report diff gate must itself work. Identical files diff
 # clean (exit 0, zero regressions); a copy with one completing row

@@ -259,6 +259,13 @@ fn render_metrics(metrics: &JsonValue) -> String {
             .map_or(0, <[JsonValue]>::len),
         int(metrics, "peak_bytes")
     );
+    let _ = writeln!(
+        out,
+        "  transition memo: {}/{} lookups hit, {} entries",
+        int(metrics, "memo_hits"),
+        int(metrics, "memo_lookups"),
+        int(metrics, "memo_entries")
+    );
     out
 }
 

@@ -151,6 +151,17 @@ fn persistent_sinks_invisible_across_matrix() {
             Some(configs),
             "outcome and metrics agree on the graph size"
         );
+        let memo = |key: &str| {
+            metrics
+                .get(key)
+                .and_then(JsonValue::as_u64)
+                .unwrap_or_else(|| panic!("ledger metrics lack {key}"))
+        };
+        assert!(
+            memo("memo_hits") <= memo("memo_lookups") && memo("memo_lookups") > 0,
+            "memo counters recorded"
+        );
+        memo("memo_entries");
         let opts = v.get("options").expect("options");
         assert!(opts.get("threads").and_then(JsonValue::as_u64).is_some());
         assert!(opts.get("store").and_then(JsonValue::as_str).is_some());

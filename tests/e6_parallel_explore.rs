@@ -72,6 +72,17 @@ fn graph_matches_reference_explorer_across_threads() {
                     reference::assert_matches(&g, &r, &label);
                     let stats = g.interner_stats().expect("full graphs keep their arena");
                     assert!(stats.object_states <= g.len(), "{label}");
+                    // On the largest fixture the match above covers
+                    // transitions replayed from the memo, not only freshly
+                    // stepped ones.
+                    let m = g.metrics();
+                    assert!(m.memo_hits <= m.memo_lookups, "{label}");
+                    assert!(
+                        (n, k, procs) != (3, 0, 3) || m.memo_hits > 0,
+                        "{label}: {} memo hits of {} lookups",
+                        m.memo_hits,
+                        m.memo_lookups
+                    );
                 }
             }
         }
