@@ -28,16 +28,18 @@
 //! [`TransitionMemo`](subconsensus_sim::TransitionMemo) next to its
 //! interner: `(pid, proc id)` → the process's action (which also answers
 //! the POR footprint), and `(pid, proc id, object-state id)` → the step's
-//! distinct outcomes as id pairs. A worker that finds a transition there
-//! writes each successor into its reused row buffer, canonicalizes it in
-//! place with
+//! distinct outcomes as id pairs. A hit copies those ids into the step's
+//! outcome buffer; a miss steps and resolves each outcome state against
+//! the interner (an id, or the fresh state with its hash) into the same
+//! buffer. Either way the worker writes each successor into its reused row
+//! buffer, canonicalizes it in place with
 //! [`SystemSpec::canonicalize_in_place`](subconsensus_sim::SystemSpec::canonicalize_in_place),
-//! fingerprints it and probes the snapshot; it allocates only for a
-//! successor missing from the snapshot, which carries its fingerprint to
-//! the merge. A miss steps through `compact_successors` as before. Workers
-//! only read the memo: each logs its misses whose outcome states were all
-//! interned, and the merge absorbs the logs in frontier order after the
-//! level. The memo's contents — and its lookup, hit and entry counters in
+//! fingerprints it (if it holds no fresh state) and probes the snapshot; it
+//! detaches the row only for a successor missing from the snapshot, which
+//! carries its fingerprint and its fresh states to the merge. The root is
+//! interned and canonicalized the same way. Workers only read the memo:
+//! each logs its misses whose outcome states were all interned, and the
+//! merge absorbs the logs in frontier order after the level. The memo's contents — and its lookup, hit and entry counters in
 //! [`ExploreMetrics`] — are therefore the same for every thread count and
 //! store backend, and the interner sees the same states in the same order
 //! as without it. Its bytes count in the resident estimate (it stays
@@ -111,10 +113,14 @@ pub struct ExploreOptions {
     /// breakdown (expand / canonicalize / POR / dedup / merge / freeze).
     /// Counters and per-level records are collected either way; the
     /// explored graph is node-for-node identical with or without this
-    /// flag (the recorder is write-only from the explorer's view). The
+    /// flag (the recorder is write-only from the explorer's view).
+    ///
+    /// [`StateGraph::explore`] builds its [`Recorder`] from this flag. The
     /// `MC_PROGRESS`, `MC_TRACE`, `MC_STATUS_FILE` and `MC_RUN_LOG` env
     /// vars also force timing on, and so does `MC_STORE_DIR` alone, which
-    /// turns on the run ledger.
+    /// turns on the run ledger. [`StateGraph::explore_with`] ignores the
+    /// flag: the recorder it is given decides. Either way the run ledger
+    /// records the timing the run actually had.
     pub metrics: bool,
     /// What this exploration is for. The default,
     /// [`ExploreGoal::FullGraph`], builds and freezes the whole reachable
@@ -413,10 +419,15 @@ impl RowStore {
         }
     }
 
-    /// Interns `init` as node 0.
-    fn seed(&mut self, init: &Config) {
+    /// Interns `init` as node 0, canonicalized in id space under
+    /// `symmetry`.
+    fn seed(&mut self, spec: &SystemSpec, init: &Config, symmetry: bool) {
         debug_assert_eq!(self.len, 0);
-        let compact = self.interner.intern_config(init);
+        let mut root = PendingConfig::from(self.interner.intern_config(init));
+        if symmetry {
+            spec.canonicalize_in_place(&self.interner, &mut root, &mut CanonScratch::default());
+        }
+        let compact = self.interner.finalize(root);
         self.push(compact.words(), fingerprint_words(compact.words()));
     }
 
@@ -929,11 +940,10 @@ fn expand_node(
                 .memo_successors(&store.interner, &store.memo, plan.words, pid, succs, log)?;
         }
         for k in 0..succs.len() {
-            let mut next = succs.successor(k);
+            let next = succs.successor(k);
             let perm = if x.opts.symmetry {
                 let _t = rec.time_canonicalize();
-                x.spec
-                    .canonicalize_in_place(&store.interner, &mut next, canon)
+                x.spec.canonicalize_in_place(&store.interner, next, canon)
             } else {
                 None
             };
@@ -955,7 +965,9 @@ fn expand_node(
                 };
                 match known {
                     Some(j) => StepResult::Existing(j),
-                    None => StepResult::Fresh(next.into_pending(), fp),
+                    // Detach the row: its fresh states move along, and the
+                    // next successor re-allocates the row's words.
+                    None => StepResult::Fresh(std::mem::take(next), fp),
                 }
             };
             steps.push((pid, step, sleep));
@@ -1372,20 +1384,21 @@ fn expand_level(
     Ok(out)
 }
 
-/// Runs the level-synchronized BFS from `init`: each level is expanded
+/// Runs the level-synchronized BFS from the initial configuration
+/// (canonicalized first under symmetry): each level is expanded
 /// read-only (optionally across threads), then merged sequentially in
 /// frontier order. Returns the graph core and the store.
 fn explore_core(
     spec: &SystemSpec,
-    init: &Config,
     opts: &ExploreOptions,
     rec: &Recorder,
 ) -> Result<(GraphCore, RowStore), SimError> {
-    let mut store = RowStore::new(init, spill_budget(opts));
+    let init = spec.initial_config();
+    let mut store = RowStore::new(&init, spill_budget(opts));
     if store.spill.is_some() {
         rec.mark_store_active();
     }
-    store.seed(init);
+    store.seed(spec, &init, opts.symmetry);
     let mut bfs = Bfs::new(opts, rec);
     let mut workers = vec![Worker::default()];
     let mut level = vec![WorkItem::fresh(0)];
@@ -1807,18 +1820,15 @@ impl StateGraph {
         };
         let mut opts = opts.clone();
         opts.resolve_store();
+        // Timing comes from the recorder; record the timing the run had.
+        opts.metrics = rec.is_timing();
         // Fast path: a system whose symmetry groups are all singletons has
         // an identity canonicalization, so requesting symmetry would only
         // burn time re-checking sortedness and re-sorting edges. Normalize
         // the flag once; everything downstream branches on the effective
         // value.
         opts.symmetry = opts.symmetry && !spec.symmetry_groups().is_trivial();
-        let init = if opts.symmetry {
-            spec.canonicalize_config(spec.initial_config())
-        } else {
-            spec.initial_config()
-        };
-        let (core, store) = explore_core(spec, &init, &opts, rec)?;
+        let (core, store) = explore_core(spec, &opts, rec)?;
         // A verdict goal keeps no node contents: its callers never look at
         // configurations again, so the store — and any spill, with its run
         // directory — drops here without being reconstituted.
@@ -1882,9 +1892,8 @@ impl StateGraph {
     }
 
     /// The telemetry snapshot of the exploration that built this graph:
-    /// counters and per-level records always, phase wall times when the
-    /// exploration was instrumented ([`ExploreOptions::metrics`], an
-    /// explicit [`Recorder`], or `MC_PROGRESS`/`MC_TRACE`).
+    /// counters and per-level records always, phase wall times when its
+    /// [`Recorder`] was timing (see [`ExploreOptions::metrics`]).
     pub fn metrics(&self) -> &ExploreMetrics {
         &self.metrics
     }

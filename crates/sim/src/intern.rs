@@ -136,7 +136,7 @@ impl<T: Eq + Hash> Pool<T> {
 /// Build one per exploration (or per system), intern the initial
 /// configuration with [`StateInterner::intern_config`], and step in id
 /// space via
-/// [`SystemSpec::compact_successors`](crate::SystemSpec::compact_successors).
+/// [`SystemSpec::memo_successors`](crate::SystemSpec::memo_successors).
 /// Ids are only meaningful relative to the interner that issued them.
 ///
 /// # Examples
@@ -144,7 +144,8 @@ impl<T: Eq + Hash> Pool<T> {
 /// ```
 /// use std::sync::Arc;
 /// use subconsensus_sim::{
-///     Action, ProcCtx, Protocol, ProtocolError, StateInterner, SystemBuilder, Value,
+///     Action, MemoLog, MemoSuccessors, Pid, ProcCtx, Protocol, ProtocolError, StateInterner,
+///     SystemBuilder, TransitionMemo, Value,
 /// };
 ///
 /// #[derive(Debug)]
@@ -168,6 +169,15 @@ impl<T: Eq + Hash> Pool<T> {
 /// );
 /// // Re-interning an equal configuration yields identical id words.
 /// assert_eq!(interner.intern_config(&spec.initial_config()), compact);
+///
+/// // One step in id space, through an (empty) transition memo.
+/// let (memo, mut log) = (TransitionMemo::new(), MemoLog::default());
+/// let mut succs = MemoSuccessors::default();
+/// spec.memo_successors(&interner, &memo, compact.words(), Pid::new(0), &mut succs, &mut log)
+///     .unwrap();
+/// let next = interner.finalize(std::mem::take(succs.successor(0)));
+/// let (deep, _) = &spec.successors(&spec.initial_config(), Pid::new(0)).unwrap()[0];
+/// assert_eq!(interner.materialize_words(next.nobjects(), next.words()), *deep);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct StateInterner {
@@ -210,12 +220,23 @@ impl StateInterner {
         Arc::clone(&self.procs.arena[id as usize])
     }
 
-    pub(crate) fn lookup_object_hashed(&self, hash: u64, state: &Value) -> Option<u32> {
-        self.objs.lookup_hashed(hash, state)
+    /// Resolves a stepped object state against this snapshot: its id if
+    /// interned, else the state itself with its hash.
+    pub(crate) fn resolve_object(&self, state: Value) -> SlotState {
+        let hash = hash_one(&state);
+        match self.objs.lookup_hashed(hash, &state) {
+            Some(id) => SlotState::Id(id),
+            None => SlotState::Fresh(hash, FreshState::Obj(state)),
+        }
     }
 
-    pub(crate) fn lookup_proc_hashed(&self, hash: u64, state: &ProcState) -> Option<u32> {
-        self.procs.lookup_hashed(hash, state)
+    /// [`resolve_object`](Self::resolve_object) for a process state.
+    pub(crate) fn resolve_proc(&self, state: ProcState) -> SlotState {
+        let hash = hash_one(&state);
+        match self.procs.lookup_hashed(hash, &state) {
+            Some(id) => SlotState::Id(id),
+            None => SlotState::Fresh(hash, FreshState::Proc(state)),
+        }
     }
 
     fn intern_object_arc(&mut self, state: &Arc<Value>) -> u32 {
@@ -320,8 +341,8 @@ impl StateInterner {
         bits
     }
 
-    /// Interns the fresh states of `pending` (produced by
-    /// [`SystemSpec::compact_successors`](crate::SystemSpec::compact_successors))
+    /// Interns the fresh states of `pending` (a successor from
+    /// [`MemoSuccessors::successor`](crate::MemoSuccessors::successor))
     /// and returns the fully resolved id words.
     ///
     /// Call this on the single merge thread; worker threads only ever hold
@@ -435,12 +456,13 @@ impl CompactConfig {
 
 /// A stepped-but-not-yet-interned configuration.
 ///
-/// Produced by
-/// [`SystemSpec::compact_successors`](crate::SystemSpec::compact_successors)
-/// on (possibly parallel) worker threads, which may only *read* the
+/// Written by
+/// [`MemoSuccessors::successor`](crate::MemoSuccessors::successor) on
+/// (possibly parallel) worker threads, which may only *read* the
 /// interner: slots whose new state is already interned carry its id, and
 /// the rare genuinely fresh states ride along in full until
-/// [`StateInterner::finalize`] interns them on the merge thread.
+/// [`StateInterner::finalize`] interns them on the merge thread. A
+/// [`CompactConfig`] converts into a fully resolved one.
 ///
 /// Equality compares resolved words plus the fresh states, which (over one
 /// interner snapshot) coincides with deep equality of the configurations
@@ -460,20 +482,41 @@ struct FreshSlot {
 }
 
 #[derive(Clone, Debug, PartialEq, Eq)]
-enum FreshState {
+pub(crate) enum FreshState {
     Obj(Value),
     Proc(ProcState),
 }
 
-impl PendingConfig {
-    pub(crate) fn copy_of(nobjects: usize, words: &[u32]) -> Self {
+/// A stepped state resolved against an interner snapshot: the id of an
+/// already-interned state, or the fresh state itself with its hash.
+#[derive(Debug)]
+pub(crate) enum SlotState {
+    Id(u32),
+    Fresh(u64, FreshState),
+}
+
+impl SlotState {
+    /// Copies an id out, or moves a fresh state out (leaving the
+    /// placeholder id behind), so a fresh state is never cloned.
+    pub(crate) fn take(&mut self) -> SlotState {
+        match self {
+            SlotState::Id(id) => SlotState::Id(*id),
+            SlotState::Fresh(..) => std::mem::replace(self, SlotState::Id(PLACEHOLDER)),
+        }
+    }
+}
+
+impl From<CompactConfig> for PendingConfig {
+    fn from(config: CompactConfig) -> Self {
         PendingConfig {
-            nobjects: u32::try_from(nobjects).expect("object count exceeds u32"),
-            words: words.into(),
+            nobjects: config.nobjects,
+            words: config.words,
             fresh: Vec::new(),
         }
     }
+}
 
+impl PendingConfig {
     /// Overwrites this configuration with a copy of `words`, reusing the
     /// row allocation when the shape matches — the transition memo's
     /// per-worker row buffer.
@@ -485,24 +528,6 @@ impl PendingConfig {
             self.words = words.into();
         }
         self.fresh.clear();
-    }
-
-    /// Points slot `slot` at the already-interned state `id`.
-    pub(crate) fn set_id(&mut self, slot: usize, id: u32) {
-        self.set_slot(slot, 0, Some(id), || {
-            unreachable!("an interned id is never fresh")
-        });
-    }
-
-    /// Moves this configuration out into a new allocation, leaving its id
-    /// words behind (its fresh states go with the result), so a reused row
-    /// buffer keeps its allocation.
-    pub(crate) fn detach(&mut self) -> PendingConfig {
-        PendingConfig {
-            nobjects: self.nobjects,
-            words: self.words.clone(),
-            fresh: std::mem::take(&mut self.fresh),
-        }
     }
 
     /// The number of object slots.
@@ -528,50 +553,20 @@ impl PendingConfig {
         self.is_resolved().then_some(&*self.words)
     }
 
-    /// Points slot `slot` at `state`: an arena id if the interner already
-    /// holds it, else a fresh ride-along.
-    fn set_slot(
-        &mut self,
-        slot: usize,
-        hash: u64,
-        id: Option<u32>,
-        state: impl FnOnce() -> FreshState,
-    ) {
+    /// Points slot `slot` at `state`, moving a fresh state in.
+    pub(crate) fn set(&mut self, slot: usize, state: SlotState) {
         self.fresh.retain(|f| f.slot as usize != slot);
-        match id {
-            Some(id) => self.words[slot] = id,
-            None => {
+        match state {
+            SlotState::Id(id) => self.words[slot] = id,
+            SlotState::Fresh(hash, state) => {
                 self.words[slot] = PLACEHOLDER;
                 self.fresh.push(FreshSlot {
                     slot: u32::try_from(slot).expect("slot exceeds u32"),
                     hash,
-                    state: state(),
+                    state,
                 });
             }
         }
-    }
-
-    pub(crate) fn set_object_state(
-        &mut self,
-        interner: &StateInterner,
-        index: usize,
-        state: Value,
-    ) {
-        let hash = hash_one(&state);
-        let id = interner.lookup_object_hashed(hash, &state);
-        self.set_slot(index, hash, id, || FreshState::Obj(state));
-    }
-
-    pub(crate) fn set_proc_state(
-        &mut self,
-        interner: &StateInterner,
-        index: usize,
-        state: ProcState,
-    ) {
-        let slot = self.nobjects() + index;
-        let hash = hash_one(&state);
-        let id = interner.lookup_proc_hashed(hash, &state);
-        self.set_slot(slot, hash, id, || FreshState::Proc(state));
     }
 
     /// The object state at `index`, resolving through the interner or the
@@ -775,15 +770,15 @@ mod tests {
             status: ProcStatus::Fresh,
         });
         let id = interner.intern_proc_arc(&base);
-        let mut pending = PendingConfig::copy_of(0, &[id, id]);
-        pending.set_proc_state(
-            &interner,
+        let mut pending = PendingConfig::default();
+        pending.reset_to(0, &[id, id]);
+        pending.set(
             0,
-            ProcState {
+            interner.resolve_proc(ProcState {
                 local: Value::Int(7),
                 resp: None,
                 status: ProcStatus::Running,
-            },
+            }),
         );
         assert!(!pending.is_resolved());
         // Swap the two procs: the fresh state must follow slot 0 → 1.

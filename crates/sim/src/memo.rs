@@ -21,14 +21,24 @@
 //!   set-consensus object's outcome list) are kept exactly.
 //!
 //! [`SystemSpec::memo_successors`] answers a known transition with id
-//! copies — no protocol step, no `apply`, no hashing of state values — and
-//! falls back to the uncached
-//! [`SystemSpec::compact_successors`](crate::SystemSpec::compact_successors)
-//! on a miss. Readers never write: a miss whose outcome states were all
-//! already interned is recorded in the caller's [`MemoLog`], and a single
-//! writer [`absorb`](TransitionMemo::absorb)s the logs in a fixed order. A
-//! miss with a fresh state is not recorded (its ids do not exist yet); it
-//! is recorded the next time it recurs. What the memo holds is therefore a
+//! copies — no protocol step, no `apply`, no hashing of state values. On a
+//! miss it steps (with the memoized action, if any) and resolves each
+//! outcome state against the interner: an id if it is already interned,
+//! else the fresh state with its hash. Either way the outcomes land in one
+//! buffer, and [`MemoSuccessors::successor`] writes each successor from it
+//! into one reused row. [`SystemSpec::memo_footprint`] answers the
+//! footprint query the same way, and
+//! [`SystemSpec::canonicalize_in_place`](crate::SystemSpec::canonicalize_in_place)
+//! sorts the row in id space; these three are the id-space entry points.
+//! The deep [`SystemSpec::successors`](crate::SystemSpec::successors) and
+//! [`SystemSpec::canonicalize_config_perm`](crate::SystemSpec::canonicalize_config_perm)
+//! stay as the references the tests check them against.
+//!
+//! Readers never write: a miss whose outcome states were all already
+//! interned is recorded in the caller's [`MemoLog`], and a single writer
+//! [`absorb`](TransitionMemo::absorb)s the logs in a fixed order. A miss
+//! with a fresh state is not recorded (its ids do not exist yet); it is
+//! recorded the next time it recurs. What the memo holds is therefore a
 //! function of the interner's contents, never of how the work was split.
 //! Errors are never recorded: a step that fails returns before anything is
 //! logged.
@@ -38,12 +48,13 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
-use std::ops::{Deref, DerefMut};
 
 use crate::error::SimError;
 use crate::ids::{ObjId, Pid};
-use crate::intern::{PendingConfig, StateInterner};
-use crate::system::{StepFootprint, SystemSpec};
+use crate::intern::{PendingConfig, SlotState, StateInterner};
+use crate::op::Op;
+use crate::protocol::Action;
+use crate::system::{ProcState, StepFootprint, SystemSpec};
 use crate::value::Value;
 
 /// The object-state word of an outcome that touches no object (a decide).
@@ -194,10 +205,27 @@ impl MemoLog {
     }
 }
 
+/// One outcome of a step: the targeted object's next state
+/// (`Id(NO_OBJECT)` for a decide) and the stepped process's next state.
+#[derive(Debug)]
+struct StepOutcome {
+    obj: SlotState,
+    proc: SlotState,
+}
+
+impl StepOutcome {
+    fn ids([obj, proc]: [u32; 2]) -> Self {
+        StepOutcome {
+            obj: SlotState::Id(obj),
+            proc: SlotState::Id(proc),
+        }
+    }
+}
+
 /// The successors of one step produced by
-/// [`SystemSpec::memo_successors`], reused from step to step: a memo hit
-/// keeps only outcome ids and writes each successor into one row buffer on
-/// demand; a miss keeps the stepped [`PendingConfig`]s.
+/// [`SystemSpec::memo_successors`], reused from step to step: the step's
+/// outcomes (copied from the memo on a hit, resolved against the interner
+/// on a miss) and one row buffer each successor is written into on demand.
 #[derive(Debug, Default)]
 pub struct MemoSuccessors {
     /// The stepped configuration's id words.
@@ -205,13 +233,10 @@ pub struct MemoSuccessors {
     nobjects: usize,
     /// The stepped process's slot.
     proc_slot: usize,
-    /// The targeted object's slot (memo hits on an invocation).
+    /// The targeted object's slot (`None` for a decide).
     obj_slot: Option<usize>,
-    /// Memo hit: the outcomes as `(object-state id, proc id)`.
-    hit: Vec<[u32; 2]>,
-    /// Memo miss: the stepped successors.
-    stepped: Vec<PendingConfig>,
-    /// The row buffer memo hits are written into.
+    outcomes: Vec<StepOutcome>,
+    /// The row buffer every successor is written into.
     row: PendingConfig,
 }
 
@@ -222,93 +247,65 @@ impl MemoSuccessors {
         self.nobjects = nobjects;
         self.proc_slot = proc_slot;
         self.obj_slot = None;
-        self.hit.clear();
-        self.stepped.clear();
+        self.outcomes.clear();
     }
 
     /// The number of successors (distinct outcomes).
     pub fn len(&self) -> usize {
-        self.hit.len() + self.stepped.len()
+        self.outcomes.len()
     }
 
     /// Returns `true` if the step had no successor (never, after a
     /// successful [`SystemSpec::memo_successors`]).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.outcomes.is_empty()
     }
 
-    /// Successor `k`, in the object's outcome order: a memo hit is written
-    /// into the reused row buffer here, a miss lends its stepped
-    /// configuration. Either may be rewritten in place (canonicalized)
-    /// before [`Successor::into_pending`] keeps it.
+    /// Successor `k`, in the object's outcome order, written into the
+    /// reused row buffer: the stepped configuration with the outcome's
+    /// object and process states. The row may be rewritten in place
+    /// (canonicalized), and a caller keeps it with `std::mem::take`. A
+    /// fresh state moves into the row rather than being cloned, so each
+    /// `k` is taken at most once per step.
     ///
     /// # Panics
     ///
     /// Panics if `k >= self.len()`.
-    pub fn successor(&mut self, k: usize) -> Successor<'_> {
-        if k < self.stepped.len() {
-            return Successor {
-                pending: &mut self.stepped[k],
-                reused: false,
-            };
-        }
-        let [obj_state, proc] = self.hit[k];
+    pub fn successor(&mut self, k: usize) -> &mut PendingConfig {
+        let outcome = &mut self.outcomes[k];
         self.row.reset_to(self.nobjects, &self.base);
         if let Some(slot) = self.obj_slot {
-            self.row.set_id(slot, obj_state);
+            self.row.set(slot, outcome.obj.take());
         }
-        self.row.set_id(self.proc_slot, proc);
-        Successor {
-            pending: &mut self.row,
-            reused: true,
-        }
+        self.row.set(self.proc_slot, outcome.proc.take());
+        &mut self.row
     }
 }
 
-/// One successor lent by [`MemoSuccessors::successor`]; dereferences to
-/// its [`PendingConfig`].
-#[derive(Debug)]
-pub struct Successor<'a> {
-    pending: &'a mut PendingConfig,
-    /// Lent from the reused row buffer (copied out to keep) rather than
-    /// from a stepped configuration (moved out).
-    reused: bool,
-}
-
-impl Successor<'_> {
-    /// Keeps the successor as an owned configuration. Only a memo hit
-    /// allocates here (its row buffer stays behind for reuse).
-    pub fn into_pending(self) -> PendingConfig {
-        if self.reused {
-            self.pending.detach()
-        } else {
-            std::mem::take(self.pending)
-        }
-    }
-}
-
-impl Deref for Successor<'_> {
-    type Target = PendingConfig;
-
-    fn deref(&self) -> &PendingConfig {
-        self.pending
-    }
-}
-
-impl DerefMut for Successor<'_> {
-    fn deref_mut(&mut self) -> &mut PendingConfig {
-        self.pending
+/// The `write` half of the id-space step: each outcome of a step is
+/// resolved against `interner` and pushed onto `out`.
+fn outcome_writer<'w>(
+    interner: &'w StateInterner,
+    out: &'w mut Vec<StepOutcome>,
+) -> impl FnMut(Option<(ObjId, &Op, Value)>, ProcState) + 'w {
+    move |touched, stepped| {
+        let obj = touched.map_or(SlotState::Id(NO_OBJECT), |(_, _, state)| {
+            interner.resolve_object(state)
+        });
+        let proc = interner.resolve_proc(stepped);
+        out.push(StepOutcome { obj, proc });
     }
 }
 
 impl SystemSpec {
-    /// [`SystemSpec::compact_footprint`] answered from `memo` when `pid`'s
-    /// action in `words` is memoized (borrowed, no protocol step), else
-    /// computed.
+    /// The footprint of `pid`'s next step in the interned configuration
+    /// `words`: borrowed from `memo` when `pid`'s action there is
+    /// memoized, else computed by one protocol step.
     ///
     /// # Errors
     ///
-    /// Exactly those of [`SystemSpec::compact_footprint`].
+    /// Returns [`SimError::ProcessNotEnabled`] if `pid` cannot take a step,
+    /// and propagates protocol errors.
     pub fn memo_footprint<'m>(
         &self,
         interner: &StateInterner,
@@ -316,26 +313,31 @@ impl SystemSpec {
         words: &[u32],
         pid: Pid,
     ) -> Result<Cow<'m, StepFootprint>, SimError> {
-        let known = words
+        let proc_id = *words
             .get(self.nobjects() + pid.index())
-            .and_then(|&proc_id| memo.action(pid, proc_id));
-        match known {
-            Some(action) => Ok(Cow::Borrowed(&action.footprint)),
-            None => self.compact_footprint(interner, words, pid).map(Cow::Owned),
+            .ok_or(SimError::ProcessNotEnabled(pid))?;
+        if let Some(action) = memo.action(pid, proc_id) {
+            return Ok(Cow::Borrowed(&action.footprint));
         }
+        Ok(Cow::Owned(
+            match self.action_of(pid, interner.proc(proc_id))? {
+                Action::Decide(_) => StepFootprint::Local,
+                Action::Invoke { obj, op, .. } => StepFootprint::Object { obj, op },
+            },
+        ))
     }
 
     /// The successors of scheduling `pid` in the interned configuration
-    /// `words`, through `memo`: exactly those of
-    /// [`SystemSpec::compact_successors`], in the same order, left in
-    /// `out`. A memoized transition is replayed as id copies; otherwise the
-    /// step runs (with the memoized action, if any) and, when every outcome
-    /// state is already interned, the transition is recorded in `log`.
+    /// `words`, through `memo`, left in `out`: exactly those of the deep
+    /// [`SystemSpec::successors`], in the same order. A memoized transition
+    /// is replayed as id copies; otherwise the step runs (with the
+    /// memoized action, if any) and, when every outcome state is already
+    /// interned, the transition is recorded in `log`.
     ///
     /// # Errors
     ///
-    /// Exactly those of [`SystemSpec::compact_successors`]; nothing is
-    /// recorded for a failing step.
+    /// Exactly those of [`SystemSpec::successors`]; nothing is recorded
+    /// for a failing step.
     pub fn memo_successors(
         &self,
         interner: &StateInterner,
@@ -352,47 +354,52 @@ impl SystemSpec {
             .get(proc_slot)
             .ok_or(SimError::ProcessNotEnabled(pid))?;
         log.lookups += 1;
-        let (target, new_action) = match memo.action(pid, proc_id) {
+        let object = |o: ObjId| interner.object(words[o.index()]);
+        let new_action = match memo.action(pid, proc_id) {
             Some(MemoAction {
                 footprint: StepFootprint::Local,
                 proc,
             }) => {
                 log.hits += 1;
-                out.hit.push([NO_OBJECT, *proc]);
+                out.outcomes.push(StepOutcome::ids([NO_OBJECT, *proc]));
                 return Ok(());
             }
             Some(MemoAction {
                 footprint: StepFootprint::Object { obj, op },
                 proc,
             }) => {
+                out.obj_slot = Some(obj.index());
                 let key = (pid_word(pid), proc_id, words[obj.index()]);
                 if let Some(&(start, len)) = memo.transitions.get(&key) {
                     log.hits += 1;
-                    out.obj_slot = Some(obj.index());
-                    out.hit
-                        .extend_from_slice(&memo.outcomes[start as usize..(start + len) as usize]);
+                    let known = &memo.outcomes[start as usize..(start + len) as usize];
+                    out.outcomes
+                        .extend(known.iter().copied().map(StepOutcome::ids));
                     return Ok(());
                 }
                 let local = interner.proc(*proc).local.clone();
-                let object = |o: ObjId| interner.object(words[o.index()]);
-                let write = self.pending_writer(interner, words, pid, &mut out.stepped);
+                let write = outcome_writer(interner, &mut out.outcomes);
                 self.invoke_outcomes(pid, *obj, op, local, object, write)?;
-                (Some(*obj), None)
+                None
             }
             None => {
-                let action =
-                    self.compact_successors_into(interner, words, pid, &mut out.stepped)?;
-                (action.as_ref().map(|(obj, _)| *obj), Some(action))
+                let proc = Some(interner.proc(proc_id));
+                let write = outcome_writer(interner, &mut out.outcomes);
+                let action = self.step_outcomes(pid, proc, object, write)?;
+                out.obj_slot = action.as_ref().map(|(obj, _)| obj.index());
+                Some(action)
             }
         };
-        if !out.stepped.iter().all(PendingConfig::is_resolved) {
-            return Ok(());
-        }
+        // Record the transition only if every outcome state is interned.
         let start = log.outcomes.len();
-        for next in &out.stepped {
-            let w = next.resolved_words().expect("checked resolved");
-            let obj_state = target.map_or(NO_OBJECT, |obj| w[obj.index()]);
-            log.outcomes.push([obj_state, w[proc_slot]]);
+        for outcome in &out.outcomes {
+            match (&outcome.obj, &outcome.proc) {
+                (SlotState::Id(obj), SlotState::Id(proc)) => log.outcomes.push([*obj, *proc]),
+                _ => {
+                    log.outcomes.truncate(start);
+                    return Ok(());
+                }
+            }
         }
         let key = (pid_word(pid), proc_id);
         if let Some(action) = new_action {
@@ -403,12 +410,11 @@ impl SystemSpec {
             let proc = log.outcomes[start][1];
             log.actions.push((key, MemoAction { footprint, proc }));
         }
-        match target {
+        match out.obj_slot {
             Some(obj) => {
                 let at = u32::try_from(start).expect("memo log exceeds u32 outcomes");
-                let len = u32::try_from(out.stepped.len()).expect("outcome count exceeds u32");
-                log.transitions
-                    .push(((key.0, key.1, words[obj.index()]), at, len));
+                let len = u32::try_from(out.outcomes.len()).expect("outcome count exceeds u32");
+                log.transitions.push(((key.0, key.1, words[obj]), at, len));
             }
             // A decide's successor is the action entry itself.
             None => log.outcomes.truncate(start),

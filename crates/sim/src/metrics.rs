@@ -598,7 +598,8 @@ impl fmt::Display for ExploreMetrics {
         } else {
             writeln!(
                 f,
-                "phases: untimed (enable ExploreOptions::metrics, MC_PROGRESS, \
+                "phases: untimed (time the Recorder: Recorder::with_timing, \
+                 ExploreOptions::metrics with StateGraph::explore, MC_PROGRESS, \
                  MC_TRACE, MC_STATUS_FILE, MC_RUN_LOG or MC_STORE_DIR)"
             )?;
         }

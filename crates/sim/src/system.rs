@@ -308,7 +308,9 @@ pub enum StepInfo {
 
 /// What one enabled step touches, for commutativity reasoning.
 ///
-/// Computed by [`SystemSpec::compact_footprint`] without mutating anything:
+/// Computed by
+/// [`SystemSpec::memo_footprint`](crate::SystemSpec::memo_footprint)
+/// without mutating anything:
 /// it runs the protocol's (pure) transition function to see what the
 /// process *would* do next. Two steps with "disjoint" footprints commute —
 /// see [`SystemSpec::compact_footprints_independent`] for the exact
@@ -441,7 +443,7 @@ impl SystemSpec {
     /// pid-independent protocols never pass.
     ///
     /// This deep sort is deliberately separate from
-    /// [`SystemSpec::compact_canonicalize`]: tests use it as the
+    /// [`SystemSpec::canonicalize_in_place`]: tests use it as the
     /// independent reference the id-space sort is checked against. Takes
     /// `config` by value so the already-canonical fast path costs nothing.
     pub fn canonicalize_config(&self, config: Config) -> Config {
@@ -472,7 +474,7 @@ impl SystemSpec {
     /// anything — the single source of truth for "what would this process
     /// do next", shared by the step relation and the POR footprint so the
     /// two can never disagree.
-    fn action_of(&self, pid: Pid, proc: &ProcState) -> Result<Action, SimError> {
+    pub(crate) fn action_of(&self, pid: Pid, proc: &ProcState) -> Result<Action, SimError> {
         if !proc.status.is_enabled() {
             return Err(SimError::ProcessNotEnabled(pid));
         }
@@ -526,9 +528,11 @@ impl SystemSpec {
     /// decide vs invoke, hang vs response, the errors (all raised before
     /// the first `write`), and the collapse of equal outcomes to their
     /// first occurrence, in the object's outcome order — so
-    /// [`SystemSpec::successors`] and [`SystemSpec::compact_successors`]
-    /// only write the outcomes into a [`Config`] or a [`PendingConfig`].
-    fn step_outcomes<'a>(
+    /// [`SystemSpec::successors`] and
+    /// [`SystemSpec::memo_successors`](crate::SystemSpec::memo_successors)
+    /// only write the outcomes into a [`Config`] or an id-space outcome
+    /// buffer.
+    pub(crate) fn step_outcomes<'a>(
         &self,
         pid: Pid,
         proc: Option<&ProcState>,
@@ -666,29 +670,6 @@ impl SystemSpec {
         Ok(succs)
     }
 
-    /// The footprint of `pid`'s next step in the interned configuration
-    /// `words`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ProcessNotEnabled`] if `pid` cannot take a step,
-    /// and propagates protocol errors.
-    pub fn compact_footprint(
-        &self,
-        interner: &StateInterner,
-        words: &[u32],
-        pid: Pid,
-    ) -> Result<StepFootprint, SimError> {
-        let proc_id = *words
-            .get(self.nobjects() + pid.index())
-            .ok_or(SimError::ProcessNotEnabled(pid))?;
-        let action = self.action_of(pid, interner.proc(proc_id))?;
-        Ok(match action {
-            Action::Decide(_) => StepFootprint::Local,
-            Action::Invoke { obj, op, .. } => StepFootprint::Object { obj, op },
-        })
-    }
-
     /// Returns `true` if two steps with these footprints are *independent*
     /// in the interned configuration `words`: executing them in either
     /// order reaches the same configuration with the same responses.
@@ -720,89 +701,6 @@ impl SystemSpec {
                     })
             }
         }
-    }
-
-    /// Computes every successor of scheduling `pid` in the interned
-    /// configuration `words`, as [`PendingConfig`]s: unchanged slots keep
-    /// their id words, and only the stepped process (plus the touched
-    /// object, for invocations) is resolved against the interner — already
-    /// known states become id copies, genuinely fresh ones ride along for
-    /// [`StateInterner::finalize`].
-    ///
-    /// The successors are those of [`SystemSpec::successors`], in the same
-    /// order: both write the outcomes of one step relation. This is the
-    /// uncached primitive; the explorer reaches it through
-    /// [`SystemSpec::memo_successors`](crate::SystemSpec::memo_successors)
-    /// on a transition-memo miss.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`SystemSpec::successors`].
-    pub fn compact_successors(
-        &self,
-        interner: &StateInterner,
-        words: &[u32],
-        pid: Pid,
-    ) -> Result<Vec<PendingConfig>, SimError> {
-        let mut succs = Vec::new();
-        self.compact_successors_into(interner, words, pid, &mut succs)?;
-        Ok(succs)
-    }
-
-    /// [`SystemSpec::compact_successors`] appending to `out`, returning the
-    /// invoked object and operation (`None` for a decide).
-    pub(crate) fn compact_successors_into(
-        &self,
-        interner: &StateInterner,
-        words: &[u32],
-        pid: Pid,
-        out: &mut Vec<PendingConfig>,
-    ) -> Result<Option<(ObjId, Op)>, SimError> {
-        let proc = words
-            .get(self.nobjects() + pid.index())
-            .map(|&id| interner.proc(id));
-        let object = |obj: ObjId| interner.object(words[obj.index()]);
-        self.step_outcomes(
-            pid,
-            proc,
-            object,
-            self.pending_writer(interner, words, pid, out),
-        )
-    }
-
-    /// The `write` half of the id-space step: each outcome of `pid`'s step
-    /// at `words` becomes one [`PendingConfig`] pushed onto `out`.
-    pub(crate) fn pending_writer<'w>(
-        &self,
-        interner: &'w StateInterner,
-        words: &'w [u32],
-        pid: Pid,
-        out: &'w mut Vec<PendingConfig>,
-    ) -> impl FnMut(Option<(ObjId, &Op, Value)>, ProcState) + 'w {
-        let nobjects = self.nobjects();
-        let i = pid.index();
-        move |touched, stepped| {
-            let mut next = PendingConfig::copy_of(nobjects, words);
-            if let Some((obj, _, state)) = touched {
-                next.set_object_state(interner, obj.index(), state);
-            }
-            next.set_proc_state(interner, i, stepped);
-            out.push(next);
-        }
-    }
-
-    /// Canonicalizes `pending` in id space, returning the applied pid
-    /// permutation (`perm[old] = new`), or `None` when the configuration
-    /// was already canonical. Tests check it against the separate deep
-    /// sort of [`SystemSpec::canonicalize_config_perm`]; the explorer calls
-    /// [`SystemSpec::canonicalize_in_place`], the one routine behind both.
-    pub fn compact_canonicalize(
-        &self,
-        interner: &StateInterner,
-        pending: &mut PendingConfig,
-    ) -> Option<Vec<usize>> {
-        self.canonicalize_in_place(interner, pending, &mut CanonScratch::default())
-            .map(<[usize]>::to_vec)
     }
 
     /// The id-space canonicalization: rewrites `pending` into its orbit's
@@ -863,7 +761,7 @@ impl SystemSpec {
             if let Some(state) =
                 self.objects[idx].relabel_pids(pending.object_ref(interner, idx), perm)
             {
-                pending.set_object_state(interner, idx, state);
+                pending.set(idx, interner.resolve_object(state));
             }
         }
         let perm: &'s Vec<usize> = perm;
@@ -1091,8 +989,11 @@ impl SystemBuilder {
 
 #[cfg(test)]
 mod tests {
+    use std::borrow::Cow;
+
     use super::*;
     use crate::error::{ObjectError, ProtocolError};
+    use crate::memo::{MemoLog, MemoSuccessors, TransitionMemo};
     use crate::object::Outcome;
 
     /// A register supporting `read()` / `write(v)`.
@@ -1213,8 +1114,8 @@ mod tests {
     }
 
     /// The successors of `pid` at `config` through the id-space path:
-    /// `compact_successors` on the interned row, each finalized and
-    /// materialized back into a `Config`.
+    /// `memo_successors` with an empty memo on the interned row, each
+    /// finalized and materialized back into a `Config`.
     fn compact_succs(
         spec: &SystemSpec,
         config: &Config,
@@ -1222,14 +1123,27 @@ mod tests {
     ) -> Result<Vec<Config>, SimError> {
         let mut interner = StateInterner::new();
         let row = interner.intern_config(config);
-        let pendings = spec.compact_successors(&interner, row.words(), pid)?;
-        Ok(pendings
-            .into_iter()
-            .map(|pending| {
-                let next = interner.finalize(pending);
+        let mut out = MemoSuccessors::default();
+        let (memo, mut log) = (TransitionMemo::new(), MemoLog::default());
+        spec.memo_successors(&interner, &memo, row.words(), pid, &mut out, &mut log)?;
+        Ok((0..out.len())
+            .map(|k| {
+                let next = interner.finalize(std::mem::take(out.successor(k)));
                 interner.materialize_words(next.nobjects(), next.words())
             })
             .collect())
+    }
+
+    /// The footprint of `pid` at the interned `row`, with an empty memo.
+    fn footprint_at(
+        spec: &SystemSpec,
+        interner: &StateInterner,
+        row: &[u32],
+        pid: Pid,
+    ) -> StepFootprint {
+        spec.memo_footprint(interner, &TransitionMemo::new(), row, pid)
+            .unwrap()
+            .into_owned()
     }
 
     /// Whether the next steps of `p` and `q` at `config` are independent,
@@ -1237,7 +1151,7 @@ mod tests {
     fn independent(spec: &SystemSpec, config: &Config, p: Pid, q: Pid) -> bool {
         let mut interner = StateInterner::new();
         let row = interner.intern_config(config);
-        let fp = |pid| spec.compact_footprint(&interner, row.words(), pid).unwrap();
+        let fp = |pid| footprint_at(spec, &interner, row.words(), pid);
         spec.compact_footprints_independent(&interner, row.words(), &fp(p), &fp(q))
     }
 
@@ -1698,7 +1612,8 @@ mod tests {
         let footprint = |c: &Config| {
             let mut interner = StateInterner::new();
             let row = interner.intern_config(c);
-            spec.compact_footprint(&interner, row.words(), Pid::new(0))
+            spec.memo_footprint(&interner, &TransitionMemo::new(), row.words(), Pid::new(0))
+                .map(Cow::into_owned)
         };
         let mut c = spec.initial_config();
         // pc 0 / pc 1: register ops.

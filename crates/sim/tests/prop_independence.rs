@@ -1,7 +1,7 @@
 //! Randomized tests for step independence as partial-order reduction
 //! decides it: [`SystemSpec::compact_footprints_independent`] over the
-//! footprints ([`SystemSpec::compact_footprint`]) of a random reachable
-//! configuration's interned row. Whenever two enabled steps are declared
+//! footprints ([`SystemSpec::memo_footprint`], with an empty memo) of a
+//! random reachable configuration's interned row. Whenever two enabled steps are declared
 //! independent, firing them in either order (through the deep
 //! [`SystemSpec::successors`]) must land in the *same* configuration — the
 //! Mazurkiewicz-trace fact partial-order reduction rests on.
@@ -9,11 +9,12 @@
 //! Written over the in-tree seeded [`SmallRng`] (repo style: seeded loops,
 //! no external property-testing dependency).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use subconsensus_sim::{
     Action, Config, ObjId, ObjectError, ObjectSpec, Op, Outcome, Pid, ProcCtx, Protocol,
-    ProtocolError, SmallRng, StateInterner, SystemBuilder, SystemSpec, Value,
+    ProtocolError, SmallRng, StateInterner, SystemBuilder, SystemSpec, TransitionMemo, Value,
 };
 
 /// A register whose `commutes` declares read/read and equal-value
@@ -141,7 +142,11 @@ fn id_space_independence(spec: &SystemSpec, config: &Config) -> impl Fn(Pid, Pid
     let mut interner = StateInterner::new();
     let words = interner.intern_config(config).words().to_vec();
     let fps: Vec<_> = (0..spec.nprocs())
-        .map(|p| spec.compact_footprint(&interner, &words, Pid::new(p)).ok())
+        .map(|p| {
+            spec.memo_footprint(&interner, &TransitionMemo::new(), &words, Pid::new(p))
+                .ok()
+                .map(Cow::into_owned)
+        })
         .collect();
     let spec = spec.clone();
     move |p, q| {

@@ -9,8 +9,9 @@
 use std::sync::Arc;
 
 use subconsensus_sim::{
-    Action, CompactConfig, Config, ObjId, ObjectError, ObjectSpec, Op, Outcome, ProcCtx, Protocol,
-    ProtocolError, SmallRng, StateInterner, SystemBuilder, SystemSpec, Value,
+    Action, CanonScratch, CompactConfig, Config, MemoLog, MemoSuccessors, ObjId, ObjectError,
+    ObjectSpec, Op, Outcome, ProcCtx, Protocol, ProtocolError, SmallRng, StateInterner,
+    SystemBuilder, SystemSpec, TransitionMemo, Value,
 };
 
 /// A sticky agreement cell: the first proposal wins, later proposals read it.
@@ -197,6 +198,8 @@ fn compact_stepping_stays_in_lockstep_with_deep() {
             .words()
             .to_vec();
         let nobjects = spec.nobjects();
+        let mut succs = MemoSuccessors::default();
+        let mut scratch = CanonScratch::default();
         for _ in 0..12 {
             assert_eq!(
                 interner.materialize_words(nobjects, &words),
@@ -211,14 +214,20 @@ fn compact_stepping_stays_in_lockstep_with_deep() {
             // Successor sets agree element-for-element, including the
             // dedup of the coin's duplicate outcome.
             let deep_succs = spec.successors(&deep, pid).unwrap();
-            let pendings = spec.compact_successors(&interner, &words, pid).unwrap();
-            assert_eq!(deep_succs.len(), pendings.len(), "seed {seed}: fanout");
+            // An empty memo: every step is a miss, stepped in id space.
+            let (memo, mut log) = (TransitionMemo::new(), MemoLog::default());
+            spec.memo_successors(&interner, &memo, &words, pid, &mut succs, &mut log)
+                .unwrap();
+            assert_eq!(deep_succs.len(), succs.len(), "seed {seed}: fanout");
             let mut finalized = Vec::new();
-            for ((d, _info), p) in deep_succs.iter().zip(pendings) {
+            for (k, (d, _info)) in deep_succs.iter().enumerate() {
+                let p = std::mem::take(succs.successor(k));
                 // Canonicalization chooses the same permutation on a
                 // cloned copy of both.
                 let mut canon_pending = p.clone();
-                let perm_c = spec.compact_canonicalize(&interner, &mut canon_pending);
+                let perm_c = spec
+                    .canonicalize_in_place(&interner, &mut canon_pending, &mut scratch)
+                    .map(<[usize]>::to_vec);
                 let (canon_deep, perm_d) = spec.canonicalize_config_perm(d.clone());
                 assert_eq!(perm_c, perm_d, "seed {seed}: canonical perm");
                 let canon_compact = interner.finalize(canon_pending);

@@ -1,9 +1,12 @@
 //! Randomized differential test of the transition memo: at every
 //! configuration of random reachable walks, the successors
-//! [`SystemSpec::memo_successors`] replays (or steps, on a miss) must equal
-//! those of the uncached [`SystemSpec::compact_successors`] once both are
-//! finalized, and a failing step must fail identically and leave nothing
-//! in the memo.
+//! [`SystemSpec::memo_successors`] produces must equal those of the deep
+//! [`SystemSpec::successors`] once both are interned — stepped on a miss
+//! (an empty memo) and replayed on a hit (a memo filled by earlier walks)
+//! — and a failing step must fail identically and leave nothing in the
+//! memo. Each successor is also canonicalized in id space and checked
+//! against the deep [`SystemSpec::canonicalize_config_perm`], both the
+//! representative and the permutation.
 //!
 //! The system is built so that a memo keyed too coarsely fails: every
 //! process starts in the same state and shares one proc id, but proposes
@@ -17,9 +20,9 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use subconsensus_sim::{
-    Action, CompactConfig, Config, MemoLog, MemoSuccessors, ObjId, ObjectError, ObjectSpec, Op,
+    Action, CanonScratch, Config, MemoLog, MemoSuccessors, ObjId, ObjectError, ObjectSpec, Op,
     Outcome, Pid, ProcCtx, ProcStatus, Protocol, ProtocolError, SimError, SmallRng, StateInterner,
-    SystemBuilder, SystemSpec, TransitionMemo, Value,
+    SymmetryGroups, SystemBuilder, SystemSpec, TransitionMemo, Value,
 };
 
 /// The proposal the agreement object rejects with an error.
@@ -106,12 +109,17 @@ impl Protocol for ProposeMine {
 }
 
 /// Four processes on one 2-set agreement object bounded at five accesses;
-/// process 3 proposes [`POISON`], so every step it tries fails.
+/// process 3 proposes [`POISON`], so every step it tries fails. Processes
+/// 0–2 form an explicit symmetry group, so the canonicalization check
+/// sees nontrivial permutations (the group is not a sound symmetry of
+/// this protocol; canonicalization is checked as a function of the
+/// configuration only).
 fn system() -> SystemSpec {
     let mut b = SystemBuilder::new();
     let obj = b.add_object(SetAgree { k: 2, limit: 5 });
     let p: Arc<dyn Protocol> = Arc::new(ProposeMine { obj });
     b.add_processes(p, [1, 2, 1, POISON - 3].into_iter().map(Value::Int));
+    b.set_symmetry_groups(SymmetryGroups::new([(0..3).map(Pid::new)]));
     b.build()
 }
 
@@ -122,68 +130,85 @@ struct Coverage {
     multi_outcome_hits: u64,
     hang_hits: u64,
     errors: u64,
+    permuted: u64,
 }
 
-/// Checks every pid (one out of range included) at the interned
-/// configuration `words`: memoized successors equal the uncached ones
-/// after finalization, errors agree and are not recorded.
+/// Checks every pid (one out of range included) at `config`, first
+/// through an empty memo (a miss), then through `memo`, whose fills it
+/// absorbs: the successors equal the deep ones once interned, their
+/// id-space canonical forms and permutations equal the deep sort's, and
+/// errors agree and are not recorded.
 fn check_config(
     spec: &SystemSpec,
     interner: &mut StateInterner,
     memo: &mut TransitionMemo,
-    words: &[u32],
+    config: &Config,
     cov: &mut Coverage,
 ) {
+    let words = interner.intern_config(config).words().to_vec();
     let mut out = MemoSuccessors::default();
+    let mut scratch = CanonScratch::default();
+    let empty = TransitionMemo::new();
     for p in 0..=spec.nprocs() {
         let pid = Pid::new(p);
-        let mut log = MemoLog::default();
-        let expected = spec.compact_successors(interner, words, pid);
-        let got = spec
-            .memo_successors(interner, memo, words, pid, &mut out, &mut log)
-            .map(|()| {
-                (0..out.len())
-                    .map(|k| out.successor(k).into_pending())
-                    .collect::<Vec<_>>()
-            });
-        let hit = log.hits() == 1;
-        match (expected, got) {
-            (Err(e), Err(g)) => {
-                assert_eq!(e, g, "pid {p}: errors differ");
-                cov.errors += 1;
-                let before = memo.entries();
-                memo.absorb(&mut log);
-                assert_eq!(memo.entries(), before, "pid {p}: an error was memoized");
-                if matches!(e, SimError::Object { .. }) {
-                    // The protocol step succeeded, yet its action must not
-                    // have been learned from a failing transition.
-                    let fp = spec.memo_footprint(interner, memo, words, pid).unwrap();
-                    assert!(matches!(fp, Cow::Owned(_)), "pid {p}: action memoized");
-                }
-            }
-            (Ok(expected), Ok(got)) => {
-                assert_eq!(expected.len(), got.len(), "pid {p}: fanout");
-                let expected: Vec<CompactConfig> =
-                    expected.into_iter().map(|c| interner.finalize(c)).collect();
-                let got: Vec<CompactConfig> =
-                    got.into_iter().map(|c| interner.finalize(c)).collect();
-                assert_eq!(expected, got, "pid {p}: memoized successors differ");
-                if hit {
-                    cov.hits += 1;
-                    if got.len() > 1 {
-                        cov.multi_outcome_hits += 1;
+        let expected = spec.successors(config, pid);
+        for shared in [false, true] {
+            let used = if shared { &*memo } else { &empty };
+            let mut log = MemoLog::default();
+            let got = spec.memo_successors(interner, used, &words, pid, &mut out, &mut log);
+            let hit = log.hits() == 1;
+            assert!(shared || !hit, "pid {p}: an empty memo hit");
+            match (&expected, got) {
+                (Err(e), Err(g)) => {
+                    assert_eq!(*e, g, "pid {p}: errors differ");
+                    if !shared {
+                        continue;
                     }
-                    let hung = got.iter().any(|c| {
-                        let stepped = c.words()[c.nobjects() + p];
-                        interner.proc(stepped).status == ProcStatus::Hung
-                    });
-                    if hung {
-                        cov.hang_hits += 1;
+                    cov.errors += 1;
+                    let before = memo.entries();
+                    memo.absorb(&mut log);
+                    assert_eq!(memo.entries(), before, "pid {p}: an error was memoized");
+                    if matches!(e, SimError::Object { .. }) {
+                        // The protocol step succeeded, yet its action must
+                        // not have been learned from a failing transition.
+                        let fp = spec.memo_footprint(interner, memo, &words, pid).unwrap();
+                        assert!(matches!(fp, Cow::Owned(_)), "pid {p}: action memoized");
                     }
                 }
-                memo.absorb(&mut log);
+                (Ok(expected), Ok(())) => {
+                    assert_eq!(expected.len(), out.len(), "pid {p}: fanout");
+                    let mut hung = false;
+                    for (k, (next, _)) in expected.iter().enumerate() {
+                        let pending = std::mem::take(out.successor(k));
+                        let mut canon = pending.clone();
+                        let perm = spec
+                            .canonicalize_in_place(interner, &mut canon, &mut scratch)
+                            .map(<[usize]>::to_vec);
+                        let (canon_deep, perm_deep) = spec.canonicalize_config_perm(next.clone());
+                        assert_eq!(perm, perm_deep, "pid {p}: canonical permutation");
+                        cov.permuted += u64::from(perm.is_some());
+                        let got = interner.finalize(pending);
+                        assert_eq!(got, interner.intern_config(next), "pid {p}: successor {k}");
+                        let got_canon = interner.finalize(canon);
+                        assert_eq!(
+                            got_canon,
+                            interner.intern_config(&canon_deep),
+                            "pid {p}: canonical successor {k}"
+                        );
+                        let stepped = got.words()[got.nobjects() + p];
+                        hung |= interner.proc(stepped).status == ProcStatus::Hung;
+                    }
+                    if hit {
+                        cov.hits += 1;
+                        cov.multi_outcome_hits += u64::from(expected.len() > 1);
+                        cov.hang_hits += u64::from(hung);
+                    }
+                    if shared {
+                        memo.absorb(&mut log);
+                    }
+                }
+                (e, g) => panic!("pid {p}: deep {e:?} but memoized {g:?}"),
             }
-            (e, g) => panic!("pid {p}: uncached {e:?} but memoized {g:?}"),
         }
     }
 }
@@ -211,7 +236,7 @@ fn random_walk(spec: &SystemSpec, rng: &mut SmallRng, steps: usize) -> Vec<Confi
 }
 
 #[test]
-fn memoized_successors_equal_uncached_ones() {
+fn memoized_successors_equal_deep_ones() {
     let spec = system();
     let init = spec.initial_config();
     let mut interner = StateInterner::new();
@@ -229,10 +254,9 @@ fn memoized_successors_equal_uncached_ones() {
         let mut rng = SmallRng::seed_from_u64(30_000 + seed);
         let steps = rng.gen_index(12);
         for config in random_walk(&spec, &mut rng, steps) {
-            let words = interner.intern_config(&config).words().to_vec();
             // Twice: the second pass replays what the first recorded.
             for _ in 0..2 {
-                check_config(&spec, &mut interner, &mut memo, &words, &mut cov);
+                check_config(&spec, &mut interner, &mut memo, &config, &mut cov);
             }
         }
     }
@@ -240,5 +264,6 @@ fn memoized_successors_equal_uncached_ones() {
     assert!(cov.multi_outcome_hits > 0, "no multi-outcome hit: {cov:?}");
     assert!(cov.hang_hits > 0, "no hang replayed: {cov:?}");
     assert!(cov.errors > 0, "no failing step checked: {cov:?}");
+    assert!(cov.permuted > 0, "no successor was permuted: {cov:?}");
     assert!(memo.entries() > 0 && memo.bytes() > 0);
 }

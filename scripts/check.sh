@@ -27,6 +27,12 @@ cargo test -q
 echo "==> workspace tests"
 cargo test -q --workspace
 
+# The benchmark is its own package (not a workspace member) and compiles
+# against the library crates by path, so a change to their public API
+# would otherwise only surface when the benchmark is run.
+echo "==> perfbench tests"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Telemetry smoke: run the flagship example with the heartbeat, the JSONL
 # span trace, the run ledger and the live status file all on, then validate
 # every artifact with mc-report (the std-only analysis CLI — the trace

@@ -15,7 +15,8 @@ use subconsensus_modelcheck::{
 use subconsensus_objects::{Consensus, SetConsensus};
 use subconsensus_protocols::{PartitionPropose, ProposeDecide};
 use subconsensus_sim::{
-    ObjectSpec, Pid, Protocol, SymmetryGroups, SystemBuilder, SystemSpec, Value,
+    Action, ObjId, ObjectSpec, Op, Pid, ProcCtx, Protocol, ProtocolError, StateInterner,
+    SymmetryGroups, SystemBuilder, SystemSpec, Value,
 };
 
 mod reference;
@@ -73,6 +74,49 @@ fn partition_system_sym(procs: usize, m: usize, j: usize) -> SystemSpec {
             .map(Pid::new)
             .collect::<Vec<_>>()
     })));
+    b.build()
+}
+
+/// Proposes its input, which its start state carries, then decides the
+/// answer: processes with different inputs start in different states.
+#[derive(Debug)]
+struct ProposeOwnInput {
+    obj: ObjId,
+}
+
+impl Protocol for ProposeOwnInput {
+    fn start(&self, ctx: &ProcCtx) -> Value {
+        Value::tup([Value::Int(0), ctx.input.clone()])
+    }
+
+    fn step(
+        &self,
+        _ctx: &ProcCtx,
+        local: &Value,
+        resp: Option<&Value>,
+    ) -> Result<Action, ProtocolError> {
+        let Value::Tup(parts) = local else {
+            return Err(ProtocolError::new("corrupt local state"));
+        };
+        match parts[0].as_int() {
+            Some(0) => Ok(Action::invoke(
+                Value::tup([Value::Int(1), parts[1].clone()]),
+                self.obj,
+                Op::unary("propose", parts[1].clone()),
+            )),
+            _ => Ok(Action::Decide(resp.cloned().unwrap_or(Value::Nil))),
+        }
+    }
+}
+
+/// Inputs 3, 2, 1 in one explicit symmetry group: the initial process
+/// states descend, so the root itself is not canonical.
+fn descending_inputs_sym() -> SystemSpec {
+    let mut b = SystemBuilder::new();
+    let obj = b.add_object(Consensus::bounded(3));
+    let p: Arc<dyn Protocol> = Arc::new(ProposeOwnInput { obj });
+    b.add_processes(p, [3, 2, 1].into_iter().map(Value::Int));
+    b.set_symmetry_groups(SymmetryGroups::new([(0..3).map(Pid::new)]));
     b.build()
 }
 
@@ -195,6 +239,7 @@ fn quotient_matches_reference_explorer() {
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e1 distinct p3", grouped_system(2, 1, 3)),
         ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
+        ("non-canonical root p3", descending_inputs_sym()),
     ] {
         for symmetry in [false, true] {
             let full = reference::explore(&spec, symmetry, usize::MAX);
@@ -227,6 +272,7 @@ fn disk_store_quotient_identical() {
     for (label, spec) in [
         ("e1 sym p3", grouped_system_sym(2, 1, 3)),
         ("e4 partition sym p4", partition_system_sym(4, 2, 1)),
+        ("non-canonical root p3", descending_inputs_sym()),
     ] {
         for symmetry in [false, true] {
             let opts = ExploreOptions::default().with_symmetry(symmetry);
@@ -272,4 +318,23 @@ fn large_symmetric_fixture_tractable_only_with_symmetry() {
     // The truncated full graph yields no verdicts; the quotient does.
     assert!(check_wait_freedom(&quot).is_wait_free());
     assert_eq!(max_distinct_decisions(&quot), 1);
+}
+
+#[test]
+fn non_canonical_root_is_canonicalized() {
+    // The explorer interns the root and sorts it in id space; node 0 must
+    // be the deep sort's representative. (The reference and disk-store
+    // tests above cover the rest of this fixture's graph.)
+    let spec = descending_inputs_sym();
+    let init = spec.initial_config();
+    let canon = spec.canonicalize_config(init.clone());
+    assert_ne!(canon, init, "the fixture's root must not be canonical");
+    let g = StateGraph::explore(&spec, &ExploreOptions::default().with_symmetry(true))
+        .expect("explore");
+    let mut interner = StateInterner::new();
+    assert_eq!(
+        interner.intern_config(&g.config(0)),
+        interner.intern_config(&canon),
+        "node 0"
+    );
 }

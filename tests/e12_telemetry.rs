@@ -211,6 +211,43 @@ fn run_record_written_only_when_log_installed() {
 }
 
 #[test]
+fn run_record_options_carry_the_recorders_timing() {
+    // `explore_with` takes its timing from the recorder, whatever
+    // `ExploreOptions::metrics` says; the ledger's options must agree with
+    // the metrics it records, for a timed and an untimed recorder alike.
+    let dir = std::env::temp_dir().join(format!("e12_ledger_timing_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = grouped_system(2, 1, 3, true);
+    for (timed, metrics_flag) in [(true, false), (false, true)] {
+        let ledger = dir.join(format!("runs_{timed}.jsonl"));
+        let mut rec = Recorder::new().with_run_log(&ledger);
+        if timed {
+            rec = rec.with_timing();
+        }
+        let opts = ExploreOptions::default().with_metrics(metrics_flag);
+        StateGraph::explore_with(&spec, &opts, &rec).unwrap();
+        let text = std::fs::read_to_string(&ledger).unwrap();
+        let v = JsonValue::parse(text.lines().next().unwrap()).unwrap();
+        let flag = |section: &str, key: &str| {
+            v.get(section)
+                .and_then(|s| s.get(key))
+                .and_then(JsonValue::as_bool)
+        };
+        assert_eq!(
+            flag("metrics", "timed"),
+            Some(rec.is_timing()),
+            "timed={timed}"
+        );
+        assert_eq!(
+            flag("options", "metrics"),
+            flag("metrics", "timed"),
+            "timed={timed}: options.metrics"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn counters_sum_to_node_totals() {
     for (symmetry, por) in [(false, false), (true, false), (false, true), (true, true)] {
         let spec = grouped_system(2, 1, 3, true);
