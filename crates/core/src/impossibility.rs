@@ -23,9 +23,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use subconsensus_modelcheck::{ExploreGoal, ExploreOptions, StateGraph, VerdictQuery};
+use subconsensus_modelcheck::{
+    ExploreGoal, ExploreOptions, ExploreSession, Recorder, VerdictQuery,
+};
 use subconsensus_sim::{
-    Action, ObjId, ObjectSpec, Op, ProcCtx, Protocol, ProtocolError, SimError, SystemBuilder, Value,
+    Action, ObjId, ObjectSpec, Op, ProcCtx, Protocol, ProtocolError, SimError, SystemBuilder,
+    SystemSpec, Value,
 };
 
 /// The protocol class: a menu of operations, the possible response values
@@ -95,7 +98,7 @@ pub fn tree_count(class: &ProtocolClass, depth: usize) -> usize {
 struct TreeProtocol {
     obj: ObjId,
     class: Arc<ProtocolClass>,
-    tree: Arc<Tree>,
+    tree: Tree,
 }
 
 impl Protocol for TreeProtocol {
@@ -129,7 +132,7 @@ impl Protocol for TreeProtocol {
                 .ok_or_else(|| ProtocolError::new(format!("tree: unclassified response {r}")))?;
             path.push(class_idx);
         }
-        let mut node: &Tree = &self.tree;
+        let mut node = &self.tree;
         for &branch in &path {
             match node {
                 Tree::Invoke { children, .. } => {
@@ -175,6 +178,11 @@ pub struct SearchOutcome {
     pub trees: usize,
     /// Number of (tree pair, input assignment) model-checks performed.
     pub checks: usize,
+    /// Transition-memo lookups over all checks (one per step a check
+    /// took; a check that failed with an error is not counted).
+    pub memo_lookups: u64,
+    /// Lookups among them answered by the search's one shared memo.
+    pub memo_hits: u64,
 }
 
 /// Exhaustively decides whether *any* protocol in `class` solves binary
@@ -187,7 +195,10 @@ pub struct SearchOutcome {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors raised during exploration.
+/// A tree whose step fails — a protocol error, or an object rejecting its
+/// operation — does not solve consensus, and its check answers `false`.
+/// Every other [`SimError`] means the explorer itself misbehaved (for
+/// example [`SimError::ProcessNotEnabled`]) and is returned.
 pub fn search_binary_consensus<F>(
     make_object: F,
     class: &ProtocolClass,
@@ -195,14 +206,15 @@ pub fn search_binary_consensus<F>(
 where
     F: Fn() -> Box<dyn ObjectSpec>,
 {
-    // Partial-order reduction is on by default: every per-pair check only
-    // consumes terminal verdicts (wait-freedom + decision sets), which POR
-    // preserves, and deciding processes collapse to singleton ample sets.
-    search_binary_consensus_with(
-        make_object,
-        class,
-        &ExploreOptions::with_max_configs(200_000).with_por(true),
-    )
+    search_binary_consensus_with(make_object, class, &default_options())
+}
+
+/// The options of [`search_binary_consensus`]. Partial-order reduction is
+/// on: every per-pair check only consumes terminal verdicts (wait-freedom
+/// and decision sets), which POR preserves, and deciding processes
+/// collapse to singleton ample sets.
+fn default_options() -> ExploreOptions {
+    ExploreOptions::with_max_configs(200_000).with_por(true)
 }
 
 /// Like [`search_binary_consensus`], but with explicit exploration
@@ -211,9 +223,14 @@ where
 /// processes whenever a check runs the same tree on both with equal
 /// inputs (the diagonal of every `x == y` matrix).
 ///
+/// The object is built once, each tree becomes one protocol instance, and
+/// every check is one exploration in a single [`ExploreSession`], so the
+/// checks share one interner and one transition memo: a step one check
+/// took is replayed, not re-run, by every later check that reaches it.
+///
 /// # Errors
 ///
-/// Propagates simulator errors raised during exploration.
+/// As for [`search_binary_consensus`].
 pub fn search_binary_consensus_with<F>(
     make_object: F,
     class: &ProtocolClass,
@@ -222,18 +239,15 @@ pub fn search_binary_consensus_with<F>(
 where
     F: Fn() -> Box<dyn ObjectSpec>,
 {
-    let class = Arc::new(class.clone());
-    let trees: Vec<Arc<Tree>> = enumerate_trees(&class, class.max_depth)
-        .into_iter()
-        .map(Arc::new)
-        .collect();
-    let t = trees.len();
+    let mut search = Search::new(make_object(), class);
+    let t = search.protocols.len();
     let mut checks = 0usize;
 
     // correct[x][y] : t×t bitmatrix — tree `a` as P0 with input x, tree
     // `b` as P1 with input y solves consensus on that assignment.
     let mut cache: HashMap<(bool, bool), Vec<bool>> = HashMap::new();
     for (x, y) in [(false, false), (false, true), (true, true)] {
+        let opts = consensus_goal(opts, x, y);
         let mut mat = vec![false; t * t];
         for a in 0..t {
             for b in 0..t {
@@ -244,12 +258,18 @@ where
                     continue;
                 }
                 checks += 1;
-                mat[a * t + b] =
-                    pair_correct(&make_object, &class, &trees[a], &trees[b], x, y, opts)?;
+                mat[a * t + b] = search.pair_correct((a, x), (b, y), &opts)?;
             }
         }
         cache.insert((x, y), mat);
     }
+    let outcome = |witness| SearchOutcome {
+        witness,
+        trees: t,
+        checks,
+        memo_lookups: search.memo_lookups,
+        memo_hits: search.memo_hits,
+    };
     let s00 = &cache[&(false, false)];
     let s01 = &cache[&(false, true)];
     let s11 = &cache[&(true, true)];
@@ -266,87 +286,117 @@ where
                 }
                 for b in 0..t {
                     if s01[c * t + b] && s11[b * t + d] {
-                        return Ok(SearchOutcome {
-                            witness: Some((a, b, c, d)),
-                            trees: t,
-                            checks,
-                        });
+                        return Ok(outcome(Some((a, b, c, d))));
                     }
                 }
             }
         }
     }
-    Ok(SearchOutcome {
-        witness: None,
-        trees: t,
-        checks,
-    })
+    Ok(outcome(None))
 }
 
-fn pair_correct<F>(
-    make_object: &F,
-    class: &Arc<ProtocolClass>,
-    t0: &Arc<Tree>,
-    t1: &Arc<Tree>,
-    x: bool,
-    y: bool,
-    opts: &ExploreOptions,
-) -> Result<bool, SimError>
-where
-    F: Fn() -> Box<dyn ObjectSpec>,
-{
-    let mut b = SystemBuilder::new();
-    let obj = b.add_boxed_object(make_object());
-    let p0: Arc<dyn Protocol> = Arc::new(TreeProtocol {
-        obj,
-        class: Arc::clone(class),
-        tree: Arc::clone(t0),
-    });
-    // Same tree ⇒ share the protocol instance, so the builder's automatic
-    // symmetry detection (pointer + input equality) groups the two
-    // processes on the diagonal checks and a symmetry-enabled exploration
-    // quotients their interleavings.
-    let p1: Arc<dyn Protocol> = if Arc::ptr_eq(t0, t1) {
-        Arc::clone(&p0)
-    } else {
-        Arc::new(TreeProtocol {
-            obj,
-            class: Arc::clone(class),
-            tree: Arc::clone(t1),
-        })
-    };
-    b.add_process(p0, Value::Int(i64::from(x)));
-    b.add_process(p1, Value::Int(i64::from(y)));
-    let spec = b.build();
+/// `opts` with the streaming verdict of binary consensus on inputs
+/// `(x, y)`: wait-freedom + agreement (at most one distinct decision) +
+/// validity are accumulated *during* exploration, so a check exits at the
+/// first refuted terminal or cycle and never freezes the CSR.
+/// `holds() == Some(true)` is exactly the post-hoc acceptance: completion
+/// under wait-freedom means every process decides at every terminal (so
+/// "≤ 1 distinct" is "exactly 1"), and a truncated run can never answer
+/// `Some(true)`.
+fn consensus_goal(opts: &ExploreOptions, x: bool, y: bool) -> ExploreOptions {
     let valid: Vec<Value> = if x == y {
         vec![Value::Int(i64::from(x))]
     } else {
         vec![Value::Int(0), Value::Int(1)]
     };
-    // Streaming-verdict goal: wait-freedom + agreement (at most one
-    // distinct decision) + validity are accumulated *during* exploration,
-    // so the check exits at the first refuted terminal or cycle and never
-    // freezes the CSR. `holds() == Some(true)` is exactly the old post-hoc
-    // acceptance: completion under wait-freedom means every process
-    // decides at every terminal (so "≤ 1 distinct" is "exactly 1"), and a
-    // truncated run can never answer `Some(true)`.
-    let goal = ExploreGoal::Verdict(
+    opts.clone().with_goal(ExploreGoal::Verdict(
         VerdictQuery::new()
             .require_wait_freedom()
             .require_max_distinct(1)
             .require_valid_values(valid),
-    );
-    let graph = match StateGraph::explore(&spec, &opts.clone().with_goal(goal)) {
-        Ok(g) => g,
-        // A tree may misuse the object (e.g. re-walk past a decision on an
-        // unclassified response); such protocols simply do not solve
-        // consensus.
-        Err(_) => return Ok(false),
-    };
-    let verdict = graph
-        .verdict()
-        .expect("verdict-goal exploration yields a verdict");
-    Ok(verdict.holds() == Some(true))
+    ))
+}
+
+/// What one search builds once and carries across its checks: the
+/// exploration session, the system holding the one shared object, one
+/// protocol instance per tree, and the summed memo counters.
+struct Search {
+    session: ExploreSession,
+    /// The shared object, in a system with no process yet.
+    objects: SystemSpec,
+    protocols: Vec<Arc<dyn Protocol>>,
+    memo_lookups: u64,
+    memo_hits: u64,
+}
+
+impl Search {
+    /// A search of `class` over `object`, with no check run yet.
+    fn new(object: Box<dyn ObjectSpec>, class: &ProtocolClass) -> Self {
+        let class = Arc::new(class.clone());
+        let mut b = SystemBuilder::new();
+        let obj = b.add_boxed_object(object);
+        let protocols = enumerate_trees(&class, class.max_depth)
+            .into_iter()
+            .map(|tree| {
+                Arc::new(TreeProtocol {
+                    obj,
+                    class: Arc::clone(&class),
+                    tree,
+                }) as Arc<dyn Protocol>
+            })
+            .collect();
+        Search {
+            session: ExploreSession::default(),
+            objects: b.build(),
+            protocols,
+            memo_lookups: 0,
+            memo_hits: 0,
+        }
+    }
+
+    /// The system running tree `a` on input `x` as P0 and tree `b` on
+    /// input `y` as P1. A tree checked against itself runs one protocol
+    /// instance twice, so the builder's automatic symmetry detection
+    /// (pointer + input equality) groups the two processes on the
+    /// diagonal checks and a symmetry-enabled exploration quotients their
+    /// interleavings.
+    fn system(&self, (a, x): (usize, bool), (b, y): (usize, bool)) -> SystemSpec {
+        self.objects
+            .with_processes([(a, x), (b, y)].map(|(tree, input)| {
+                (
+                    Arc::clone(&self.protocols[tree]),
+                    Value::Int(i64::from(input)),
+                )
+            }))
+    }
+
+    /// Whether tree `a` on input `x` as P0 and tree `b` on input `y` as P1
+    /// solve binary consensus, checked under `opts` (a
+    /// [`consensus_goal`]).
+    fn pair_correct(
+        &mut self,
+        p0: (usize, bool),
+        p1: (usize, bool),
+        opts: &ExploreOptions,
+    ) -> Result<bool, SimError> {
+        let spec = self.system(p0, p1);
+        let rec = Recorder::from_env(opts.metrics);
+        match self.session.explore_with(&spec, opts, &rec) {
+            Ok(graph) => {
+                self.memo_lookups += graph.metrics().memo_lookups;
+                self.memo_hits += graph.metrics().memo_hits;
+                let verdict = graph
+                    .verdict()
+                    .expect("verdict-goal exploration yields a verdict");
+                Ok(verdict.holds() == Some(true))
+            }
+            // A tree may misuse the object, or walk its own tree wrongly
+            // (e.g. past a decision on an unclassified response); such a
+            // protocol simply does not solve consensus.
+            Err(SimError::Protocol { .. } | SimError::Object { .. }) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
 }
 
 /// The one-step protocol class over a `(3, 2)`-set-consensus object with
@@ -381,7 +431,66 @@ pub fn wrn_class(k: usize, max_depth: usize) -> ProtocolClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use subconsensus_modelcheck::StateGraph;
     use subconsensus_objects::{Consensus, SetConsensus};
+    use subconsensus_sim::SmallRng;
+
+    /// Checks every `(a, b)` tree pair of `pairs` on every input
+    /// assignment the search checks, once through `search`'s shared
+    /// session and once in a fresh exploration: the verdicts (or errors)
+    /// must be equal. Returns the shared session's memo hits.
+    fn shared_session_matches_fresh(mut search: Search, pairs: &[(usize, usize)]) -> u64 {
+        let mut hits = 0;
+        for (x, y) in [(false, false), (false, true), (true, true)] {
+            let opts = consensus_goal(&default_options(), x, y);
+            for &(a, b) in pairs {
+                let spec = search.system((a, x), (b, y));
+                let shared = search
+                    .session
+                    .explore_with(&spec, &opts, &Recorder::new())
+                    .map(|g| {
+                        hits += g.metrics().memo_hits;
+                        format!("{:?}", g.verdict())
+                    });
+                let fresh = StateGraph::explore_with(&spec, &opts, &Recorder::new())
+                    .map(|g| format!("{:?}", g.verdict()));
+                assert_eq!(shared, fresh, "trees ({a}, {b}) on inputs ({x}, {y})");
+            }
+        }
+        hits
+    }
+
+    fn all_pairs(t: usize) -> Vec<(usize, usize)> {
+        (0..t).flat_map(|a| (0..t).map(move |b| (a, b))).collect()
+    }
+
+    #[test]
+    fn one_session_answers_every_check_as_a_fresh_exploration_does() {
+        let classes: [(Box<dyn ObjectSpec>, ProtocolClass); 3] = [
+            (
+                Box::new(SetConsensus::new(3, 2).unwrap()),
+                set_consensus_32_class(1),
+            ),
+            (Box::new(subconsensus_wrn_shim::wrn3()), wrn_class(3, 1)),
+            (Box::new(Consensus::unbounded()), set_consensus_32_class(1)),
+        ];
+        for (object, class) in classes {
+            let search = Search::new(object, &class);
+            let pairs = all_pairs(search.protocols.len());
+            assert!(shared_session_matches_fresh(search, &pairs) > 0);
+        }
+        // A seeded sample of the depth-2 (3,2)-SC pairs.
+        let search = Search::new(
+            Box::new(SetConsensus::new(3, 2).unwrap()),
+            &set_consensus_32_class(2),
+        );
+        let t = search.protocols.len();
+        let mut rng = SmallRng::seed_from_u64(2_202);
+        let pairs: Vec<_> = (0..400)
+            .map(|_| (rng.gen_index(t), rng.gen_index(t)))
+            .collect();
+        assert!(shared_session_matches_fresh(search, &pairs) > 0);
+    }
 
     #[test]
     fn tree_counts_match_the_formula() {

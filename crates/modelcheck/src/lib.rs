@@ -40,7 +40,9 @@ mod spill;
 mod valency;
 mod verdict;
 
-pub use graph::{Edge, ExploreOptions, GraphStats, NodeView, StateGraph, StoreBackend};
+pub use graph::{
+    Edge, ExploreOptions, ExploreSession, GraphStats, NodeView, StateGraph, StoreBackend,
+};
 pub use properties::{
     check_nonblocking, check_nonblocking_with, check_wait_freedom, max_distinct_decisions,
     TerminalReport, WaitFreedom,

@@ -170,8 +170,10 @@ impl<T: Eq + Hash> Pool<T> {
 /// // Re-interning an equal configuration yields identical id words.
 /// assert_eq!(interner.intern_config(&spec.initial_config()), compact);
 ///
-/// // One step in id space, through an (empty) transition memo.
-/// let (memo, mut log) = (TransitionMemo::new(), MemoLog::default());
+/// // One step in id space, through an (empty) transition memo bound to
+/// // the system.
+/// let (mut memo, mut log) = (TransitionMemo::new(), MemoLog::default());
+/// memo.bind(&spec);
 /// let mut succs = MemoSuccessors::default();
 /// spec.memo_successors(&interner, &memo, compact.words(), Pid::new(0), &mut succs, &mut log)
 ///     .unwrap();

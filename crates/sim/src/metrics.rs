@@ -443,16 +443,20 @@ pub struct ExploreMetrics {
     /// fired pid per expansion).
     pub memo_lookups: u64,
     /// Memo lookups answered from the memo: no protocol step, no object
-    /// `apply`, no state hashing.
+    /// `apply`, no state hashing. In an exploration session, hits include
+    /// transitions memoized by the session's earlier explorations.
     pub memo_hits: u64,
     /// Keys in the transition memo when the exploration ended: memoized
-    /// actions plus memoized transitions.
+    /// actions plus memoized transitions. In an exploration session this
+    /// counts the session's memo, filled by every exploration so far.
     pub memo_entries: u64,
     /// One record per BFS level.
     pub levels: Vec<LevelMetrics>,
     /// Peak resident-byte estimate of the exploration: the high-water mark
-    /// of the store's per-level estimate (rows + arenas + fingerprint
-    /// index), floored at the frozen graph's footprint.
+    /// of the store's per-level estimate (rows, arenas, transition memo and
+    /// fingerprint index), floored at the frozen graph's footprint. In an
+    /// exploration session the arenas and the memo are the session's, so
+    /// they include what earlier explorations left there.
     pub peak_bytes: usize,
     /// Disk-store spill telemetry (`None` for in-memory runs).
     pub store: Option<StoreMetrics>,

@@ -387,6 +387,37 @@ impl SystemSpec {
         ProcCtx::new(pid, self.nprocs(), self.inputs[pid.index()].clone())
     }
 
+    /// A system over this one's objects — the same shared
+    /// [`ObjectSpec`] instances, not copies — running one process per
+    /// `(protocol, input)` pair, in order. Symmetry groups and static
+    /// independence are derived exactly as [`SystemBuilder::build`]
+    /// derives them (automatically; there is no override).
+    ///
+    /// Systems that share objects this way can share one transition memo:
+    /// see [`TransitionMemo::bind`](crate::TransitionMemo::bind).
+    pub fn with_processes<I>(&self, processes: I) -> SystemSpec
+    where
+        I: IntoIterator<Item = (Arc<dyn Protocol>, Value)>,
+    {
+        let (protocols, inputs) = processes.into_iter().unzip();
+        SystemBuilder::finish(Arc::clone(&self.objects), protocols, inputs, None)
+    }
+
+    /// The shared object specs, as one `Arc` (its identity is what
+    /// [`SystemSpec::with_processes`] preserves).
+    pub(crate) fn objects_arc(&self) -> &Arc<Vec<Box<dyn ObjectSpec>>> {
+        &self.objects
+    }
+
+    /// The protocol `Arc` and task input of process `pid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` is out of range.
+    pub(crate) fn process(&self, pid: Pid) -> (&Arc<dyn Protocol>, &Value) {
+        (&self.protocols[pid.index()], &self.inputs[pid.index()])
+    }
+
     /// Returns the process symmetry groups of this system.
     ///
     /// Computed by [`SystemBuilder::build`] (automatically, or from an
@@ -888,12 +919,12 @@ impl SystemBuilder {
     // `j` indexes three parallel arrays (`grouped`, `protocols`, `inputs`);
     // an enumerate over one of them would hide that.
     #[allow(clippy::needless_range_loop)]
-    fn auto_symmetry(&self) -> SymmetryGroups {
-        let n = self.protocols.len();
+    fn auto_symmetry(protocols: &[Arc<dyn Protocol>], inputs: &[Value]) -> SymmetryGroups {
+        let n = protocols.len();
         let mut grouped = vec![false; n];
         let mut groups: Vec<Vec<Pid>> = Vec::new();
         for i in 0..n {
-            if grouped[i] || !self.protocols[i].pid_symmetric() {
+            if grouped[i] || !protocols[i].pid_symmetric() {
                 continue;
             }
             let mut g = vec![Pid::new(i)];
@@ -902,10 +933,10 @@ impl SystemBuilder {
                     continue;
                 }
                 let same_protocol = std::ptr::eq(
-                    Arc::as_ptr(&self.protocols[i]) as *const u8,
-                    Arc::as_ptr(&self.protocols[j]) as *const u8,
+                    Arc::as_ptr(&protocols[i]) as *const u8,
+                    Arc::as_ptr(&protocols[j]) as *const u8,
                 );
-                if same_protocol && self.inputs[i] == self.inputs[j] {
+                if same_protocol && inputs[i] == inputs[j] {
                     grouped[j] = true;
                     g.push(Pid::new(j));
                 }
@@ -929,25 +960,43 @@ impl SystemBuilder {
     ///
     /// Panics if an override group mentions a pid that was never added.
     pub fn build(self) -> SystemSpec {
-        let symmetry = match &self.symmetry_override {
+        Self::finish(
+            Arc::new(self.objects),
+            self.protocols,
+            self.inputs,
+            self.symmetry_override,
+        )
+    }
+
+    /// Assembles a spec over `objects`, computing its symmetry groups (or
+    /// validating the override) and its static independence masks — the
+    /// one place both [`SystemBuilder::build`] and
+    /// [`SystemSpec::with_processes`] derive them.
+    fn finish(
+        objects: Arc<Vec<Box<dyn ObjectSpec>>>,
+        protocols: Vec<Arc<dyn Protocol>>,
+        inputs: Vec<Value>,
+        symmetry_override: Option<SymmetryGroups>,
+    ) -> SystemSpec {
+        let symmetry = match symmetry_override {
             Some(groups) => {
                 for g in groups.groups() {
                     for p in g {
                         assert!(
-                            p.index() < self.protocols.len(),
+                            p.index() < protocols.len(),
                             "symmetry group mentions unknown process {p}"
                         );
                     }
                 }
-                groups.clone()
+                groups
             }
-            None => self.auto_symmetry(),
+            None => Self::auto_symmetry(&protocols, &inputs),
         };
-        let static_indep = Self::static_independence(&self.protocols, &self.inputs);
+        let static_indep = Self::static_independence(&protocols, &inputs);
         SystemSpec {
-            objects: Arc::new(self.objects),
-            protocols: self.protocols,
-            inputs: self.inputs,
+            objects,
+            protocols,
+            inputs,
             symmetry: Arc::new(symmetry),
             static_indep: Arc::new(static_indep),
         }
@@ -1124,7 +1173,8 @@ mod tests {
         let mut interner = StateInterner::new();
         let row = interner.intern_config(config);
         let mut out = MemoSuccessors::default();
-        let (memo, mut log) = (TransitionMemo::new(), MemoLog::default());
+        let (mut memo, mut log) = (TransitionMemo::new(), MemoLog::default());
+        memo.bind(spec);
         spec.memo_successors(&interner, &memo, row.words(), pid, &mut out, &mut log)?;
         Ok((0..out.len())
             .map(|k| {
@@ -1141,7 +1191,9 @@ mod tests {
         row: &[u32],
         pid: Pid,
     ) -> StepFootprint {
-        spec.memo_footprint(interner, &TransitionMemo::new(), row, pid)
+        let mut memo = TransitionMemo::new();
+        memo.bind(spec);
+        spec.memo_footprint(interner, &memo, row, pid)
             .unwrap()
             .into_owned()
     }
@@ -1609,10 +1661,12 @@ mod tests {
     #[test]
     fn footprint_sees_the_next_action() {
         let spec = solo_system();
+        let mut memo = TransitionMemo::new();
+        memo.bind(&spec);
         let footprint = |c: &Config| {
             let mut interner = StateInterner::new();
             let row = interner.intern_config(c);
-            spec.memo_footprint(&interner, &TransitionMemo::new(), row.words(), Pid::new(0))
+            spec.memo_footprint(&interner, &memo, row.words(), Pid::new(0))
                 .map(Cow::into_owned)
         };
         let mut c = spec.initial_config();

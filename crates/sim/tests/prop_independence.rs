@@ -141,9 +141,11 @@ fn random_reachable_config(spec: &SystemSpec, rng: &mut SmallRng, steps: usize) 
 fn id_space_independence(spec: &SystemSpec, config: &Config) -> impl Fn(Pid, Pid) -> bool {
     let mut interner = StateInterner::new();
     let words = interner.intern_config(config).words().to_vec();
+    let mut memo = TransitionMemo::new();
+    memo.bind(spec);
     let fps: Vec<_> = (0..spec.nprocs())
         .map(|p| {
-            spec.memo_footprint(&interner, &TransitionMemo::new(), &words, Pid::new(p))
+            spec.memo_footprint(&interner, &memo, &words, Pid::new(p))
                 .ok()
                 .map(Cow::into_owned)
         })

@@ -215,7 +215,8 @@ fn compact_stepping_stays_in_lockstep_with_deep() {
             // dedup of the coin's duplicate outcome.
             let deep_succs = spec.successors(&deep, pid).unwrap();
             // An empty memo: every step is a miss, stepped in id space.
-            let (memo, mut log) = (TransitionMemo::new(), MemoLog::default());
+            let (mut memo, mut log) = (TransitionMemo::new(), MemoLog::default());
+            memo.bind(&spec);
             spec.memo_successors(&interner, &memo, &words, pid, &mut succs, &mut log)
                 .unwrap();
             assert_eq!(deep_succs.len(), succs.len(), "seed {seed}: fanout");

@@ -9,9 +9,12 @@
 //! representative and the permutation.
 //!
 //! The system is built so that a memo keyed too coarsely fails: every
-//! process starts in the same state and shares one proc id, but proposes
-//! a value computed from `ctx.pid` and `ctx.input`; the agreement object
-//! answers with several outcomes and hangs past its access bound.
+//! process runs one protocol instance, starts in the same state and
+//! shares one proc id, but proposes a value computed from `ctx.pid` and
+//! `ctx.input`, and two processes have equal inputs — so a process key
+//! that dropped the pid would replay one process's step for the other.
+//! The agreement object answers with several outcomes and hangs past its
+//! access bound.
 //!
 //! Written over the in-tree seeded [`SmallRng`] (repo style: seeded loops,
 //! no external property-testing dependency).
@@ -148,7 +151,8 @@ fn check_config(
     let words = interner.intern_config(config).words().to_vec();
     let mut out = MemoSuccessors::default();
     let mut scratch = CanonScratch::default();
-    let empty = TransitionMemo::new();
+    let mut empty = TransitionMemo::new();
+    empty.bind(spec);
     for p in 0..=spec.nprocs() {
         let pid = Pid::new(p);
         let expected = spec.successors(config, pid);
@@ -244,11 +248,17 @@ fn memoized_successors_equal_deep_ones() {
     let procs = &init_words.words()[spec.nobjects()..];
     assert!(
         procs.iter().all(|&id| id == procs[0]),
-        "every process starts with the same proc id, so the memo key needs the pid"
+        "every process starts with the same proc id, so the memo key needs the process key"
+    );
+    assert_eq!(
+        spec.ctx(Pid::new(0)).input,
+        spec.ctx(Pid::new(2)).input,
+        "pids 0 and 2 share protocol and input, so their process keys differ only by the pid"
     );
     // One interner and one memo across all walks, so later walks replay
     // what earlier ones recorded.
     let mut memo = TransitionMemo::new();
+    memo.bind(&spec);
     let mut cov = Coverage::default();
     for seed in 0..120u64 {
         let mut rng = SmallRng::seed_from_u64(30_000 + seed);

@@ -8,9 +8,13 @@
 //! * depth 1 over a `(3,2)`-set-consensus object — impossible (10 trees);
 //! * depth 1 over `WRN₃` — impossible (50 trees): the kernel of "WRN is
 //!   sub-consensus";
-//! * depth 2 over `(3,2)`-SC — impossible (202 trees, ~82k model checks;
-//!   pass `--deep` and use `--release`, takes ~10 s);
+//! * depth 2 over `(3,2)`-SC — impossible (202 trees, 81,810 model checks;
+//!   pass `--deep` and use `--release`, takes ~3 s);
 //! * sanity: over a consensus object a witness IS found.
+//!
+//! Each search runs all its checks in one exploration session, sharing
+//! one interner and one transition memo, and prints its cost per check
+//! and the memo's hit rate.
 //!
 //! The run closes with a telemetry demo: one instrumented exploration with
 //! a per-level progress heartbeat and the final [`ExploreMetrics`] phase
@@ -20,15 +24,37 @@
 //! Run with: `cargo run --release --example impossibility_search [--deep]`
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use subconsensus::core::{
-    search_binary_consensus, set_consensus_32_class, wrn_class, GroupedObject, SearchOutcome,
+    search_binary_consensus, set_consensus_32_class, wrn_class, GroupedObject, ProtocolClass,
+    SearchOutcome,
 };
 use subconsensus::modelcheck::{ExploreOptions, Recorder, StateGraph};
 use subconsensus::objects::{Consensus, SetConsensus};
 use subconsensus::protocols::ProposeDecide;
-use subconsensus::sim::{Protocol, SystemBuilder, Value};
+use subconsensus::sim::{ObjectSpec, Protocol, SimError, SystemBuilder, Value};
 use subconsensus::wrn::Wrn;
+
+/// Runs one search, timed, and prints its answer plus the per-check cost
+/// and the hit rate of the transition memo its checks share.
+fn search<F>(label: &str, make_object: F, class: &ProtocolClass) -> Result<SearchOutcome, SimError>
+where
+    F: Fn() -> Box<dyn ObjectSpec>,
+{
+    let t0 = Instant::now();
+    let out = search_binary_consensus(make_object, class)?;
+    let elapsed = t0.elapsed();
+    report(label, &out);
+    println!(
+        "      {:.1} µs/check, memo hit rate {:.1}% ({}/{} lookups)",
+        elapsed.as_secs_f64() * 1e6 / out.checks as f64,
+        100.0 * out.memo_hits as f64 / out.memo_lookups.max(1) as f64,
+        out.memo_hits,
+        out.memo_lookups
+    );
+    Ok(out)
+}
 
 fn report(label: &str, out: &SearchOutcome) {
     match out.witness {
@@ -48,36 +74,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let deep = std::env::args().any(|a| a == "--deep");
     println!("── bounded-exhaustive binary-consensus search (2 processes) ──\n");
 
-    let out = search_binary_consensus(
+    let out = search(
+        "consensus object, depth ≤ 1 (sanity)",
         || Box::new(Consensus::unbounded()),
         &set_consensus_32_class(1),
     )?;
-    report("consensus object, depth ≤ 1 (sanity)", &out);
     assert!(out.witness.is_some());
 
-    let out = search_binary_consensus(
+    let out = search(
+        "(3,2)-set-consensus object, depth ≤ 1",
         || Box::new(SetConsensus::new(3, 2).expect("valid params")),
         &set_consensus_32_class(1),
     )?;
-    report("(3,2)-set-consensus object, depth ≤ 1", &out);
     assert!(out.witness.is_none());
 
-    let out = search_binary_consensus(|| Box::new(Wrn::new(3)), &wrn_class(3, 1))?;
-    report("WRN₃ object, depth ≤ 1", &out);
+    let out = search(
+        "WRN₃ object, depth ≤ 1",
+        || Box::new(Wrn::new(3)),
+        &wrn_class(3, 1),
+    )?;
     assert!(out.witness.is_none());
 
     if deep {
         println!("\n   running the deep search (depth ≤ 2 over (3,2)-SC)…");
-        let t0 = std::time::Instant::now();
-        let out = search_binary_consensus(
+        let t0 = Instant::now();
+        let out = search(
+            "(3,2)-set-consensus object, depth ≤ 2",
             || Box::new(SetConsensus::new(3, 2).expect("valid params")),
             &set_consensus_32_class(2),
         )?;
-        report("(3,2)-set-consensus object, depth ≤ 2", &out);
         println!("   ({:?})", t0.elapsed());
         assert!(out.witness.is_none());
     } else {
-        println!("\n   (pass --deep for the depth-2 search: 202 trees, ~82k checks, ~10 s)");
+        println!("\n   (pass --deep for the depth-2 search: 202 trees, 81,810 checks, ~3 s)");
     }
 
     println!(

@@ -27,6 +27,11 @@ cargo test -q
 echo "==> workspace tests"
 cargo test -q --workspace
 
+# The depth-2 (3,2)-set-consensus impossibility (81,810 model checks) is
+# #[ignore]d in the debug suite; in release it takes a few seconds.
+echo "==> depth-2 impossibility search (release, ignored test)"
+cargo test -q --release --test e9_impossibility -- --ignored
+
 # The benchmark is its own package (not a workspace member) and compiles
 # against the library crates by path, so a change to their public API
 # would otherwise only surface when the benchmark is run.
