@@ -107,7 +107,7 @@ impl GraphFacts {
 
 fn facts(spec: &SystemSpec, opts: &ExploreOptions) -> GraphFacts {
     // One warm-up run, then a few instrumented ones keeping the fastest:
-    // the phase timers are on only for the instrumented runs, and at
+    // the phase clocks are on only for the instrumented runs, and at
     // microsecond graph sizes a single run's clock reads and cold caches
     // would inflate `total_ns` well past the timing loop's `median_ns`.
     // Min-of-5 keeps the captured breakdown close to the timed kernels
@@ -121,6 +121,7 @@ fn facts(spec: &SystemSpec, opts: &ExploreOptions) -> GraphFacts {
         .map(|_| StateGraph::explore(spec, &opts.clone().with_metrics(true)).expect("explore"))
         .min_by_key(|g| g.metrics().total_ns)
         .expect("at least one instrumented run");
+    assert_phases_tile(g.metrics(), opts);
     let s = g.stats();
     GraphFacts {
         peak_configs: s.configs,
@@ -134,9 +135,23 @@ fn facts(spec: &SystemSpec, opts: &ExploreOptions) -> GraphFacts {
     }
 }
 
+/// Asserts that a timed exploration's phases tile its wall clock: at most
+/// max(5% of `total_ns`, 50 µs) lies outside every phase.
+fn assert_phases_tile(m: &ExploreMetrics, opts: &ExploreOptions) {
+    assert!(m.timed, "instrumented run is timed");
+    let bound = (m.total_ns / 20).max(50_000);
+    assert!(
+        m.other_ns() <= bound,
+        "phases leave {} of {} ns unattributed (bound {bound}) for {}",
+        m.other_ns(),
+        m.total_ns,
+        opts.to_json()
+    );
+}
+
 /// Deterministic facts of one verdict-goal exploration: the streaming
-/// verdict plus the phase telemetry proving the freeze and reverse-CSR
-/// phases never ran.
+/// verdict plus the phase telemetry proving the freeze phase never
+/// ran.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct VerdictFacts {
     configs: usize,
@@ -152,8 +167,9 @@ struct VerdictFacts {
 fn verdict_facts(spec: &SystemSpec, opts: &ExploreOptions) -> VerdictFacts {
     // Same warm-up + min-of-reps discipline as `facts`, but the verdict
     // graph has no CSR: facts come from the verdict and the metrics, and
-    // the zero freeze/reverse-CSR phase counters are asserted right here —
-    // `_calls` distinguishes "skipped" from "too fast to time".
+    // the zero freeze time and laps are asserted right here — the lap
+    // count distinguishes "skipped" from "too fast to time" — next to the
+    // tiling bound.
     StateGraph::explore(spec, opts).expect("explore");
     let reps = if smoke_mode() { 1 } else { 5 };
     let g = (0..reps)
@@ -162,15 +178,11 @@ fn verdict_facts(spec: &SystemSpec, opts: &ExploreOptions) -> VerdictFacts {
         .expect("at least one instrumented run");
     let m = g.metrics();
     assert_eq!(
-        (
-            m.freeze_ns,
-            m.reverse_csr_ns,
-            m.freeze_calls,
-            m.reverse_csr_calls
-        ),
-        (0, 0, 0, 0),
-        "verdict-goal exploration ran a freeze or reverse-CSR phase"
+        (m.freeze_ns, m.freeze_calls),
+        (0, 0),
+        "verdict-goal exploration ran a freeze phase"
     );
+    assert_phases_tile(m, opts);
     let v = g
         .verdict()
         .expect("verdict-goal exploration yields a verdict");
@@ -399,8 +411,8 @@ fn main() {
     // Verdict-goal rows: the gate fixtures under a streaming wait-freedom
     // check (`ExploreGoal::Verdict`). The spin cycle refutes the query a
     // few levels in, so the exploration must stop strictly before the
-    // full graph is done, skip the freeze and reverse-CSR phases
-    // entirely (asserted inside `verdict_facts`), and agree with the
+    // full graph is done, skip the freeze phase entirely (asserted
+    // inside `verdict_facts`), and agree with the
     // full-graph answer — all asserted here, and re-checked across thread
     // counts. One `VERDICT` line per (fixture, symmetry, por) carries
     // the deterministic facts for `scripts/bench_guard.sh` gate 2.

@@ -87,12 +87,11 @@ use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::time::{Duration, Instant};
 
 use subconsensus_sim::{
     git_revision, unix_time_ms, warn_once, CanonScratch, Config, ExploreMetrics, InternerStats,
-    MemoLog, MemoSuccessors, PendingConfig, Pid, ProcStatus, Recorder, RunRecord, SimError,
-    StateInterner, StepFootprint, SystemSpec, TransitionMemo, TruncationCause, Value,
+    LapClock, MemoLog, MemoSuccessors, PendingConfig, Phase, Pid, ProcStatus, Recorder, RunRecord,
+    SimError, StateInterner, StepFootprint, SystemSpec, TransitionMemo, TruncationCause, Value,
 };
 
 use crate::spill::{Spill, DEFAULT_DISK_BUDGET};
@@ -120,7 +119,7 @@ pub struct ExploreOptions {
     /// `find_critical`, which needs full expansion. Composes with
     /// `symmetry` and `threads`.
     pub por: bool,
-    /// Turn the phase timers of the exploration telemetry on, so the
+    /// Turn the phase clocks of the exploration telemetry on, so the
     /// graph's [`metrics`](StateGraph::metrics) carry a wall-time
     /// breakdown (expand / canonicalize / POR / dedup / merge / freeze).
     /// Counters and per-level records are collected either way; the
@@ -207,7 +206,7 @@ impl ExploreOptions {
         self
     }
 
-    /// Returns these options with the telemetry phase timers on or off.
+    /// Returns these options with the telemetry phase clocks on or off.
     pub fn with_metrics(mut self, metrics: bool) -> Self {
         self.metrics = metrics;
         self
@@ -812,7 +811,6 @@ impl<'a> PorPlan<'a> {
         if !plan.por {
             return Ok(plan);
         }
-        let _t = x.rec.time_por();
         plan.fps = vec![None; plan.spec.nprocs()];
         let mut it = enabled;
         while it != 0 {
@@ -848,19 +846,18 @@ impl<'a> PorPlan<'a> {
     /// through canonicalization permutation `perm`), given the pids `done`
     /// this item fired before `i`: the incoming sleep plus those earlier
     /// siblings, minus `i`, filtered to the pids whose next step is
-    /// independent of `i`'s.
+    /// independent of `i`'s, lapped as POR.
     fn successor_sleep(
         &self,
         i: usize,
         done: u64,
         perm: Option<&[usize]>,
-        timers: &Recorder,
+        clock: &mut LapClock,
     ) -> u64 {
         let base = (self.sleep | done) & self.enabled & !(1 << i);
         if !self.por || base == 0 {
             return 0;
         }
-        let _t = timers.time_por();
         let me = self.fps[i].as_ref().expect("enabled pid has a footprint");
         let mut sleep = 0u64;
         let mut qs = base;
@@ -876,7 +873,9 @@ impl<'a> PorPlan<'a> {
             }
         }
         // The canonical successor renames pids; rename the mask with it.
-        perm.map_or(sleep, |perm| permute_mask(sleep, perm))
+        let sleep = perm.map_or(sleep, |perm| permute_mask(sleep, perm));
+        clock.lap(Phase::Por);
+        sleep
     }
 }
 
@@ -901,7 +900,7 @@ struct ExpandCtx<'a> {
     spec: &'a SystemSpec,
     first_sleep: &'a [u64],
     opts: &'a ExploreOptions,
-    /// Shared counters, phase timers and heartbeat sink.
+    /// Shared counters and heartbeat sink.
     rec: &'a Recorder,
     lvl: LevelCtx,
 }
@@ -916,11 +915,14 @@ struct Worker {
     succs: MemoSuccessors,
     canon: CanonScratch,
     log: MemoLog,
+    clock: LapClock,
 }
 
 /// Expands one work item against a read-only snapshot of `store`: plans
 /// the fired pids, steps each one through the transition memo, and
-/// resolves every successor against the snapshot.
+/// resolves every successor against the snapshot, lapping the worker's
+/// clock after the plan (POR), each memo step (expand), row write plus
+/// canonicalization (under symmetry), sleep mask (POR) and probe (dedup).
 fn expand_node(
     store: &RowStore<'_>,
     item: &WorkItem,
@@ -940,7 +942,10 @@ fn expand_node(
         });
     }
     let plan = PorPlan::new(store, enabled, item, x)?;
-    let Worker { succs, canon, log } = w;
+    let (succs, canon, log, clock) = (&mut w.succs, &mut w.canon, &mut w.log, &mut w.clock);
+    if plan.por {
+        clock.lap(Phase::Por);
+    }
     let mut steps = Vec::new();
     let mut done = 0u64; // earlier siblings fired by this item
     let mut it = plan.fire;
@@ -948,42 +953,38 @@ fn expand_node(
         let i = it.trailing_zeros() as usize;
         it &= it - 1;
         let pid = Pid::new(i);
-        {
-            let _t = rec.time_expand();
-            x.spec
-                .memo_successors(store.interner, store.memo, plan.words, pid, succs, log)?;
-        }
+        x.spec
+            .memo_successors(store.interner, store.memo, plan.words, pid, succs, log)?;
+        clock.lap(Phase::Expand);
         for k in 0..succs.len() {
             let next = succs.successor(k);
             let perm = if x.opts.symmetry {
-                let _t = rec.time_canonicalize();
-                x.spec.canonicalize_in_place(store.interner, next, canon)
+                let perm = x.spec.canonicalize_in_place(store.interner, next, canon);
+                clock.lap(Phase::Canonicalize);
+                perm
             } else {
                 None
             };
             if perm.is_some() {
                 rec.count_symmetry_hits(1);
             }
-            let sleep = plan.successor_sleep(i, done, perm, rec);
-            let step = {
-                let _t = rec.time_dedup();
-                // A successor carrying a genuinely fresh state cannot be in
-                // the snapshot, so it needs no lookup until the merge
-                // interns it.
-                let (known, fp) = match next.resolved_words() {
-                    Some(words) => {
-                        let fp = fingerprint_words(words);
-                        (store.find_resident(fp, words, rec), Some(fp))
-                    }
-                    None => (None, None),
-                };
-                match known {
-                    Some(j) => StepResult::Existing(j),
-                    // Detach the row: its fresh states move along, and the
-                    // next successor re-allocates the row's words.
-                    None => StepResult::Fresh(std::mem::take(next), fp),
+            let sleep = plan.successor_sleep(i, done, perm, clock);
+            // A successor carrying a genuinely fresh state cannot be in the
+            // snapshot, so it needs no lookup until the merge interns it.
+            let (known, fp) = match next.resolved_words() {
+                Some(words) => {
+                    let fp = fingerprint_words(words);
+                    (store.find_resident(fp, words, rec), Some(fp))
                 }
+                None => (None, None),
             };
+            let step = match known {
+                Some(j) => StepResult::Existing(j),
+                // Detach the row: its fresh states move along, and the next
+                // successor re-allocates the row's words.
+                None => StepResult::Fresh(std::mem::take(next), fp),
+            };
+            clock.lap(Phase::Dedup);
             steps.push((pid, step, sleep));
         }
         done |= 1 << i;
@@ -1011,9 +1012,8 @@ fn host_parallelism() -> usize {
 
 /// Whether a level of `items` work items is split across `workers`
 /// threads. A single-core host runs everything in-line: the graph is
-/// identical either way, spawning only costs, and a worker's wall-clock
-/// phase timers would otherwise absorb the time it spent descheduled
-/// behind its siblings.
+/// identical either way and spawning only costs. (A descheduled worker's
+/// laps only shift the split of the level's wall time between phases.)
 fn spawn_workers(workers: usize, items: usize) -> bool {
     workers > 1 && items >= PARALLEL_THRESHOLD && host_parallelism() > 1
 }
@@ -1057,7 +1057,6 @@ struct Bfs<'a> {
     cur_depth: u32,
     level_len: usize,
     nodes_before: usize,
-    t_level: Option<Instant>,
     /// `Some(budget)` when this level started over the memory budget.
     budget_cap: Option<usize>,
     next: Vec<WorkItem>,
@@ -1099,7 +1098,6 @@ impl<'a> Bfs<'a> {
             cur_depth: 0,
             level_len: 0,
             nodes_before: 0,
-            t_level: None,
             budget_cap: None,
             next: Vec::new(),
             revisits: Vec::new(),
@@ -1118,10 +1116,6 @@ impl<'a> Bfs<'a> {
 
     /// Opens a level of `level_len` work items.
     fn begin_level(&mut self, level_len: usize) -> LevelCtx {
-        // Level wall time feeds the per-level trace records; read the
-        // clock only when timing is on so the untimed path stays
-        // syscall-free.
-        self.t_level = self.rec.is_timing().then(Instant::now);
         self.nodes_before = self.len();
         self.level_len = level_len;
         LevelCtx {
@@ -1287,22 +1281,23 @@ impl<'a> Bfs<'a> {
 
     /// Closes the level with the store's `resident` bytes and returns the
     /// next one (empty once the streaming verdict is refuted).
-    fn end_level(&mut self, resident: usize) -> Vec<WorkItem> {
+    fn end_level(&mut self, resident: usize, clock: &mut LapClock) -> Vec<WorkItem> {
         self.rec.record_peak_bytes(resident);
-        // Level-granular verdict evaluation: at most one (untimed) cycle
-        // check per level, then exit if any queried conjunct is refuted.
+        // Level-granular verdict evaluation: at most one cycle check per
+        // level, then exit if any queried conjunct is refuted.
         if let Some(eng) = self.engine.as_mut() {
             if eng.wants_cycle_check() {
                 eng.record_cycle_check(edge_buf_has_cycle(self.depth.len(), &self.edge_buf));
             }
             self.early_exit = eng.refutation().is_some();
         }
+        clock.lap(Phase::Merge);
         self.rec.record_level(
             self.level_len,
             self.len() - self.nodes_before,
             self.len(),
             self.edge_buf.len(),
-            self.t_level.map_or(Duration::ZERO, |t| t.elapsed()),
+            clock,
         );
         self.rec.heartbeat(
             self.cur_depth,
@@ -1341,7 +1336,7 @@ impl<'a> Bfs<'a> {
             // Verdict goal: nobody reads the CSR — skip the freeze entirely.
             (Vec::new(), Vec::new())
         } else {
-            freeze_csr(n, self.edge_buf, self.rec)
+            build_csr(n, &self.edge_buf)
         };
         GraphCore {
             len: n,
@@ -1358,12 +1353,15 @@ impl<'a> Bfs<'a> {
 /// Expands one BFS level, splitting it across `opts.threads` workers,
 /// the first chunk on `workers[0]`, the next on `workers[1]`, and so on
 /// (grown on demand). Results are returned in the same order as `level`
-/// regardless of the split.
+/// regardless of the split. The merge `clock` hands its start to every
+/// worker, then laps the level's wall time once, split across phases in
+/// proportion to the workers' summed laps (in-line, those tile it).
 fn expand_level(
     store: &RowStore<'_>,
     level: &[WorkItem],
     x: ExpandCtx<'_>,
     workers: &mut Vec<Worker>,
+    clock: &mut LapClock,
 ) -> Result<Vec<Expansion>, SimError> {
     let expand_chunk = |items: &[WorkItem], w: &mut Worker| -> Result<Vec<_>, SimError> {
         items
@@ -1372,42 +1370,46 @@ fn expand_level(
             .collect()
     };
     let threads = x.opts.threads.clamp(1, level.len().max(1));
-    if !spawn_workers(threads, level.len()) {
-        return expand_chunk(level, &mut workers[0]);
+    let spawn = spawn_workers(threads, level.len());
+    if spawn && workers.len() < threads {
+        workers.resize_with(threads, Worker::default);
     }
-    let chunk_size = level.len().div_ceil(threads);
-    let chunks = level.len().div_ceil(chunk_size);
-    if workers.len() < chunks {
-        workers.resize_with(chunks, Worker::default);
+    clock.lap(Phase::Merge);
+    for w in workers.iter_mut() {
+        clock.hand_to(&mut w.clock);
     }
-    let results: Vec<Result<Vec<_>, SimError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = level
-            .chunks(chunk_size)
-            .zip(workers.iter_mut())
-            .map(|(chunk, w)| s.spawn(move || expand_chunk(chunk, w)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("exploration worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(level.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
+    let out = if spawn {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = level
+                .chunks(level.len().div_ceil(threads))
+                .zip(workers.iter_mut())
+                .map(|(chunk, w)| s.spawn(move || expand_chunk(chunk, w)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("exploration worker panicked"))
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .map(|chunks| chunks.into_iter().flatten().collect())
+    } else {
+        expand_chunk(level, &mut workers[0])
+    };
+    clock.lap_split(workers.iter_mut().map(|w| &mut w.clock));
+    out
 }
 
 /// Runs the level-synchronized BFS from the initial configuration
 /// (canonicalized first under symmetry) over `session`'s interner and
 /// memo: each level is expanded read-only (optionally across threads),
 /// then merged sequentially in frontier order. Returns the graph core and
-/// the store.
+/// the store. `clock` is the merge's: it laps each insertion as dedup,
+/// and the setup before the first level as merge.
 fn explore_core<'s>(
     session: &'s mut ExploreSession,
     spec: &SystemSpec,
     opts: &ExploreOptions,
     rec: &Recorder,
+    clock: &mut LapClock,
 ) -> Result<(GraphCore, RowStore<'s>), SimError> {
     let init = spec.initial_config();
     session.memo.bind(spec);
@@ -1437,8 +1439,7 @@ fn explore_core<'s>(
             rec,
             lvl,
         };
-        let expansions = expand_level(&store, &level, x, &mut workers)?;
-        let merge_t = rec.time_merge();
+        let expansions = expand_level(&store, &level, x, &mut workers, clock)?;
         for (item, exp) in level.iter().zip(expansions) {
             let i = item.node;
             if exp.terminal {
@@ -1450,8 +1451,10 @@ fn explore_core<'s>(
                 let slot = match step {
                     StepResult::Existing(j) => MergeSlot::Known(j),
                     StepResult::Fresh(next, fp) => {
-                        let _t = rec.time_intern();
-                        store.insert(next, fp, level_cap, rec)
+                        clock.lap(Phase::Merge);
+                        let slot = store.insert(next, fp, level_cap, rec);
+                        clock.lap(Phase::Dedup);
+                        slot
                     }
                 };
                 bfs.step(i, pid, slot, sleep);
@@ -1464,8 +1467,7 @@ fn explore_core<'s>(
             rec.count_memo(w.log.lookups(), w.log.hits());
             store.memo.absorb(&mut w.log);
         }
-        drop(merge_t);
-        level = bfs.end_level(store.resident_estimate());
+        level = bfs.end_level(store.resident_estimate(), clock);
     }
     rec.set_memo_entries(store.memo.entries());
     if matches!(opts.goal, ExploreGoal::FullGraph) {
@@ -1477,19 +1479,11 @@ fn explore_core<'s>(
 }
 
 /// Cycle check over the in-flight edge buffer: builds a throwaway CSR and
-/// runs the same DFS as [`StateGraph::has_cycle`]. Deliberately *untimed*
-/// — under a verdict goal the freeze/reverse-CSR slots must read zero
-/// calls, and this linear scan is part of the streaming merge work.
+/// runs the same DFS as [`StateGraph::has_cycle`]. Merge work: a verdict
+/// goal takes no freeze lap.
 fn edge_buf_has_cycle(n: usize, edge_buf: &[(u32, Edge)]) -> bool {
     let (row_ptr, edge_arr) = build_csr(n, edge_buf);
     csr_has_cycle(&row_ptr, &edge_arr)
-}
-
-/// Freezes a flat `(from, edge)` buffer into CSR adjacency, timed as the
-/// freeze phase.
-fn freeze_csr(n: usize, edge_buf: Vec<(u32, Edge)>, rec: &Recorder) -> (Vec<u32>, Vec<Edge>) {
-    let _t = rec.time_freeze();
-    build_csr(n, &edge_buf)
 }
 
 /// CSR adjacency of a flat `(from, edge)` buffer over `n` nodes: a stable
@@ -1836,11 +1830,14 @@ impl ExploreSession {
         // the flag once; everything downstream branches on the effective
         // value.
         opts.symmetry = opts.symmetry && !spec.symmetry_groups().is_trivial();
-        let (core, store) = explore_core(self, spec, &opts, rec)?;
+        let mut clock = rec.clock();
+        let (core, store) = explore_core(self, spec, &opts, rec, &mut clock)?;
         // A verdict goal keeps no node contents: its callers never look at
         // configurations again, so the store — and any spill, with its run
-        // directory — drops here without being reconstituted.
-        let nodes = matches!(opts.goal, ExploreGoal::FullGraph).then(|| store.into_nodes(rec));
+        // directory — drops here without being reconstituted. The last lap
+        // is the freeze (merge work without one).
+        let full = matches!(opts.goal, ExploreGoal::FullGraph);
+        let nodes = full.then(|| store.into_nodes(rec));
         let mut graph = StateGraph {
             nodes,
             len: core.len,
@@ -1852,6 +1849,8 @@ impl ExploreSession {
             metrics: ExploreMetrics::default(),
             verdict: core.verdict,
         };
+        clock.lap(if full { Phase::Freeze } else { Phase::Merge });
+        rec.flush(&mut clock);
         let mut metrics = rec.snapshot();
         metrics.configs = graph.len();
         // Under a verdict goal the CSR is never frozen; `core.edges`

@@ -44,8 +44,7 @@ pub use graph::{
     Edge, ExploreOptions, ExploreSession, GraphStats, NodeView, StateGraph, StoreBackend,
 };
 pub use properties::{
-    check_nonblocking, check_nonblocking_with, check_wait_freedom, max_distinct_decisions,
-    TerminalReport, WaitFreedom,
+    check_nonblocking, check_wait_freedom, max_distinct_decisions, TerminalReport, WaitFreedom,
 };
 // Telemetry types live in `sim` (the shared substrate crate) but are part
 // of this crate's exploration API surface; re-export them so model-checking

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use subconsensus_sim::{Recorder, Value};
+use subconsensus_sim::Value;
 
 use crate::graph::StateGraph;
 
@@ -133,21 +133,11 @@ pub fn max_distinct_decisions(graph: &StateGraph) -> usize {
 /// exactly the distinction the paper's task-solvability equivalence
 /// exploits).
 pub fn check_nonblocking(graph: &StateGraph) -> bool {
-    check_nonblocking_with(graph, &Recorder::new())
-}
-
-/// [`check_nonblocking`] with a telemetry [`Recorder`]: the reverse-CSR
-/// build is timed into the recorder's `reverse_csr` phase when timing is
-/// on.
-pub fn check_nonblocking_with(graph: &StateGraph, rec: &Recorder) -> bool {
     // Backward reachability from the terminals, over the one-shot reverse
     // CSR (see [`StateGraph::reverse_csr`]).
     let n = graph.len();
     let mut can_finish = vec![false; n];
-    let (pred_ptr, preds) = {
-        let _t = rec.time_reverse_csr();
-        graph.reverse_csr()
-    };
+    let (pred_ptr, preds) = graph.reverse_csr();
     let mut work: Vec<usize> = graph.terminals().to_vec();
     for &t in graph.terminals() {
         can_finish[t] = true;

@@ -127,7 +127,7 @@ fn write_at(file: &File, off: u64, bytes: &[u8], what: &str) {
 }
 
 /// Times one spill I/O operation onto the recorder's spill slots, only
-/// when the phase timers are on (the untimed path reads no clock).
+/// when timing is on (the untimed path reads no clock).
 fn timed<R>(rec: &Recorder, add: impl Fn(&Recorder, u64), op: impl FnOnce() -> R) -> R {
     if rec.is_timing() {
         let t0 = Instant::now();

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use subconsensus_sim::{Pid, Recorder, Value};
+use subconsensus_sim::{Pid, Value};
 
 use crate::graph::StateGraph;
 
@@ -38,13 +38,6 @@ impl Valency {
     /// pruned successors and its computed valence can be a strict subset of
     /// its true valence. [`find_critical`] therefore rejects reduced graphs.
     pub fn compute(graph: &StateGraph) -> Self {
-        Self::compute_with(graph, &Recorder::new())
-    }
-
-    /// [`compute`](Self::compute) with a telemetry [`Recorder`]: the
-    /// reverse-CSR build — the pass's dominant allocation — is timed into
-    /// the recorder's `reverse_csr` phase when timing is on.
-    pub fn compute_with(graph: &StateGraph, rec: &Recorder) -> Self {
         let n = graph.len();
         let mut sets: Vec<BTreeSet<Value>> = vec![BTreeSet::new(); n];
         for &t in graph.terminals() {
@@ -52,10 +45,7 @@ impl Valency {
         }
         // Reverse adjacency for worklist propagation: one flat CSR pass
         // instead of per-node `Vec`s (see [`StateGraph::reverse_csr`]).
-        let (pred_ptr, preds) = {
-            let _t = rec.time_reverse_csr();
-            graph.reverse_csr()
-        };
+        let (pred_ptr, preds) = graph.reverse_csr();
         // Dirty-bit worklist: a node is queued at most once per time its set
         // grows, and the popped set is moved out (not cloned) while its
         // predecessors are updated.

@@ -105,8 +105,8 @@ pub use intern::{CompactConfig, InternerStats, PendingConfig, StateInterner};
 pub use linearize::{check_linearizable, is_linearizable, LinearizeError, MAX_OPS};
 pub use memo::{MemoLog, MemoSuccessors, TransitionMemo};
 pub use metrics::{
-    env_flag, git_revision, mc_env_json, unix_time_ms, warn_once, ExploreMetrics, LevelMetrics,
-    PhaseGuard, ProgressReport, Recorder, RunRecord, StoreMetrics, TruncationCause,
+    env_flag, git_revision, mc_env_json, unix_time_ms, warn_once, ExploreMetrics, LapClock,
+    LevelMetrics, Phase, ProgressReport, Recorder, RunRecord, StoreMetrics, TruncationCause,
     DEFAULT_PROGRESS_EVERY,
 };
 pub use object::{audit_determinism, DeterminismViolation, ObjectSpec, Outcome};

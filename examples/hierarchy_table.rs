@@ -104,7 +104,7 @@ fn main() {
         }
     }
     println!(
-        "   (refuted rows exit early: no freeze, no reverse-CSR, and the\n    \
-         configuration count stops at the level that decided the answer)"
+        "   (refuted rows exit early: no CSR freeze, and the configuration\n    \
+         count stops at the level that decided the answer)"
     );
 }

@@ -216,7 +216,6 @@ fn render_metrics(metrics: &JsonValue) -> String {
                 "dedup_ns",
                 "merge_ns",
                 "freeze_ns",
-                "reverse_csr_ns",
                 "other_ns",
             ] {
                 let v = num(phases, name);

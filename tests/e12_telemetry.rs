@@ -2,7 +2,7 @@
 //! explorer — graphs are node-for-node identical with telemetry on vs off
 //! across every store/reduction/thread combination — while the collected
 //! metrics are internally consistent (counters sum to node totals, phase
-//! times sum under the total), the trace/heartbeat sinks fire, and the DOT
+//! times tile the total), the trace/heartbeat sinks fire, and the DOT
 //! export is well-formed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use subconsensus_core::GroupedObject;
 use subconsensus_modelcheck::{
-    ExploreOptions, Recorder, StateGraph, StoreBackend, TruncationCause, Valency,
+    ExploreMetrics, ExploreOptions, Recorder, StateGraph, StoreBackend, TruncationCause,
 };
 use subconsensus_objects::Consensus;
 use subconsensus_protocols::ProposeDecide;
@@ -31,6 +31,20 @@ fn grouped_system(n: usize, k: usize, procs: usize, equal_inputs: bool) -> Syste
     b.build()
 }
 
+/// Asserts that a timed exploration's phases tile its wall clock: at most
+/// max(5% of `total_ns`, 50 µs) lies outside every phase.
+fn assert_phases_tile(m: &ExploreMetrics, label: &str) {
+    assert!(m.timed, "{label}: timed");
+    let bound = (m.total_ns / 20).max(50_000);
+    assert!(
+        m.other_ns() <= bound,
+        "{label}: {} of {} ns outside every phase (bound {bound}): {}",
+        m.other_ns(),
+        m.total_ns,
+        m.phases_json()
+    );
+}
+
 fn assert_identical(a: &StateGraph, b: &StateGraph, label: &str) {
     assert_eq!(a.len(), b.len(), "{label}: node count");
     for i in 0..a.len() {
@@ -43,28 +57,49 @@ fn assert_identical(a: &StateGraph, b: &StateGraph, label: &str) {
 
 #[test]
 fn instrumented_graphs_identical_across_matrix() {
-    // Telemetry on (timers + per-level heartbeat) vs off, × symmetry × POR
-    // × threads: the recorder is write-only from the explorer's view, so
-    // every combination must reproduce the plain graph node-for-node.
-    let spec = grouped_system(2, 1, 3, true);
-    for symmetry in [false, true] {
-        for por in [false, true] {
-            let base_opts = ExploreOptions::default()
-                .with_symmetry(symmetry)
-                .with_por(por);
-            let plain = StateGraph::explore(&spec, &base_opts).unwrap();
-            for threads in [1usize, 4] {
-                let opts = base_opts.clone().with_threads(threads).with_metrics(true);
-                let rec = Recorder::new().with_timing().with_progress(1, |_| {});
-                let instrumented = StateGraph::explore_with(&spec, &opts, &rec).unwrap();
-                assert_identical(
-                    &plain,
-                    &instrumented,
-                    &format!("sym={symmetry} por={por} threads={threads}"),
-                );
-                assert!(instrumented.metrics().timed);
+    // Telemetry on (timing + per-expansion heartbeat) vs off, × symmetry ×
+    // POR × threads × store: the recorder is write-only from the
+    // explorer's view, so every combination must reproduce the plain
+    // graph node-for-node, and its phases must tile the wall clock. The
+    // second fixture has levels of up to 168 items, above the in-line
+    // threshold of 32, so threads = 4 spawns workers on a multi-core host
+    // and the proportional split of a level's wall time is exercised.
+    let fixtures = [
+        ("p3 equal", grouped_system(2, 1, 3, true), 0),
+        ("p4 distinct", grouped_system(2, 1, 4, false), 32),
+    ];
+    for (name, spec, min_widest) in &fixtures {
+        let mut widest = 0;
+        for symmetry in [false, true] {
+            for por in [false, true] {
+                let base_opts = ExploreOptions::default()
+                    .with_symmetry(symmetry)
+                    .with_por(por);
+                let plain = StateGraph::explore(spec, &base_opts).unwrap();
+                for threads in [1usize, 4] {
+                    for store in [StoreBackend::Memory, StoreBackend::Disk] {
+                        let label = format!(
+                            "{name} sym={symmetry} por={por} threads={threads} store={store:?}"
+                        );
+                        let mut opts = base_opts.clone().with_threads(threads).with_store(store);
+                        if store == StoreBackend::Disk {
+                            opts = opts.with_store_budget(4 << 10);
+                        }
+                        let rec = Recorder::new().with_timing().with_progress(1, |_| {});
+                        let instrumented = StateGraph::explore_with(spec, &opts, &rec).unwrap();
+                        assert_identical(&plain, &instrumented, &label);
+                        let m = instrumented.metrics();
+                        assert_phases_tile(m, &label);
+                        assert_eq!(m.freeze_calls, 1, "{label}: one freeze lap");
+                        let levels: u64 = m.levels.iter().map(|l| l.elapsed_ns).sum();
+                        assert!(levels <= m.phase_sum(), "{label}: level times");
+                        let items = m.levels.iter().map(|l| l.items);
+                        widest = widest.max(items.max().unwrap());
+                    }
+                }
             }
         }
+        assert!(widest >= *min_widest, "{name}: widest level {widest}");
     }
 }
 
@@ -294,14 +329,7 @@ fn counters_sum_to_node_totals() {
         assert_eq!(last.nodes_total, m.configs, "{label}: final nodes_total");
         assert_eq!(last.edges_total, m.edges, "{label}: final edges_total");
 
-        // Sequential run: phases are disjoint slices of the wall clock.
-        assert!(m.timed, "{label}");
-        assert!(
-            m.phase_sum() <= m.total_ns,
-            "{label}: phase sum {} exceeds total {}",
-            m.phase_sum(),
-            m.total_ns
-        );
+        assert_phases_tile(m, &label);
         if symmetry {
             assert!(m.symmetry_hits > 0, "{label}: canonicalization hit");
         }
@@ -578,20 +606,5 @@ fn dot_export_well_formed_on_e1_p3() {
         hi.lines().filter(|l| l.contains(" -> ")).count(),
         g.stats().edges,
         "highlighting adds no edges"
-    );
-}
-
-#[test]
-fn valency_pass_feeds_reverse_csr_phase() {
-    let spec = grouped_system(2, 1, 3, false);
-    let g = StateGraph::explore(&spec, &ExploreOptions::default()).unwrap();
-    let rec = Recorder::new().with_timing();
-    let v = Valency::compute_with(&g, &rec);
-    assert!(v.is_bivalent(0) || v.is_univalent(0));
-    let m = rec.snapshot();
-    assert!(
-        m.reverse_csr_ns > 0,
-        "reverse-CSR build time recorded: {}",
-        m.reverse_csr_ns
     );
 }
