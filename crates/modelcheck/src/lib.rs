@@ -35,6 +35,7 @@
 #![warn(missing_debug_implementations)]
 
 mod graph;
+mod index;
 mod properties;
 mod spill;
 mod valency;

@@ -14,9 +14,10 @@
 //!   `id * stride * 4`;
 //! * **fingerprint index** — one file of `(fp, id)` pairs sorted by
 //!   `(fp, id)`, plus an in-memory *fence* array holding the first `fp` of
-//!   every [`INDEX_BLOCK`]-entry block. Draining the in-memory index sorts
-//!   the drained entries and stream-merges them with the old index into
-//!   the other of two alternating files, building the fences as it goes.
+//!   every [`INDEX_BLOCK`]-entry block. Draining the in-memory index
+//!   (`FpIndex`, see `index.rs`) takes its entries out sorted and
+//!   stream-merges them with the old index into the other of two
+//!   alternating files, building the fences as it goes.
 //!   A dedup probe binary-searches the fences and reads only the blocks
 //!   whose fence range can hold `fp` (usually one 256-byte block), then
 //!   keeps the pairs whose `fp` equals the probe's.
@@ -50,6 +51,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use subconsensus_sim::Recorder;
+
+use crate::index::FpIndex;
 
 /// Hot-tier budget applied when the disk store is selected without an
 /// explicit `store_budget_bytes` / `MC_STORE_BUDGET` (256 MiB).
@@ -243,19 +246,16 @@ impl Spill {
     }
 
     /// Moves every entry of the in-memory fingerprint index to the spilled
-    /// index: the drained entries are sorted and stream-merged with the old
-    /// index into the other index file (the old one is read in
-    /// [`MERGE_CHUNK`]-entry pieces, never whole), rebuilding the fences.
-    /// The map only holds entries added since the previous drain.
-    pub(crate) fn drain_index(&mut self, index: &mut HashMap<u64, Vec<usize>>, rec: &Recorder) {
-        if index.is_empty() {
+    /// index, leaving it empty with no slot array: the drained entries
+    /// come out sorted and are stream-merged with the old index into the
+    /// other index file (the old one is read in [`MERGE_CHUNK`]-entry
+    /// pieces, never whole), rebuilding the fences. The in-memory index
+    /// only holds entries added since the previous drain.
+    pub(crate) fn drain_index(&mut self, index: &mut FpIndex, rec: &Recorder) {
+        if index.len() == 0 {
             return;
         }
-        let mut fresh: Vec<(u64, u64)> = index
-            .drain()
-            .flat_map(|(fp, ids)| ids.into_iter().map(move |id| (fp, id as u64)))
-            .collect();
-        fresh.sort_unstable();
+        let fresh = index.drain_sorted();
         let len = self.idx_len + fresh.len();
         let mut fences = Vec::with_capacity(len.div_ceil(INDEX_BLOCK));
         let next = 1 - self.idx_active;
@@ -485,13 +485,17 @@ mod tests {
         entries: &[(u64, usize)],
         reference: &mut HashMap<u64, Vec<usize>>,
     ) {
-        let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut index = FpIndex::default();
         for &(fp, id) in entries {
-            index.entry(fp).or_default().push(id);
+            index.insert(fp, id);
             reference.entry(fp).or_default().push(id);
         }
         spill.drain_index(&mut index, &Recorder::new());
-        assert!(index.is_empty(), "drain empties the in-memory map");
+        assert_eq!(
+            (index.len(), index.bytes()),
+            (0, 0),
+            "drain empties the in-memory index"
+        );
     }
 
     fn assert_matches(spill: &Spill, reference: &HashMap<u64, Vec<usize>>) {

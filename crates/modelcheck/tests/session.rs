@@ -293,3 +293,191 @@ fn a_full_graph_exploration_matches_fresh_and_empties_the_session() {
         "verdict after",
     );
 }
+
+/// A register whose states carry `tag`: `write(v)` stores `(tag, v)` and
+/// `read()` returns the stored pair. Systems over different tags share no
+/// object state.
+#[derive(Debug)]
+struct TaggedRegister {
+    tag: i64,
+}
+
+impl ObjectSpec for TaggedRegister {
+    fn type_name(&self) -> &'static str {
+        "tagged-register"
+    }
+
+    fn initial_state(&self) -> Value {
+        Value::tup([Value::Int(self.tag), Value::Int(0)])
+    }
+
+    fn apply(&self, state: &Value, op: &Op) -> Result<Vec<Outcome>, ObjectError> {
+        match (op.name, op.arg(0)) {
+            ("write", Some(v)) => Ok(vec![Outcome::ret(
+                Value::tup([Value::Int(self.tag), v.clone()]),
+                Value::Nil,
+            )]),
+            ("read", None) => Ok(vec![Outcome::ret(state.clone(), state.clone())]),
+            _ => Err(ObjectError::IllegalOp {
+                object: "tagged-register",
+                detail: format!("{op:?}"),
+            }),
+        }
+    }
+}
+
+/// `rounds` times: writes `value + round` to register `obj`, then reads
+/// it back; finally decides the last read, or fails with a protocol error
+/// when it reads `fail_on`. Its local state `(tag, pc)` carries the tag,
+/// so processes of systems over different tags share no state either.
+#[derive(Debug)]
+struct TaggedWriter {
+    obj: ObjId,
+    tag: i64,
+    value: i64,
+    rounds: i64,
+    fail_on: Option<i64>,
+}
+
+impl Protocol for TaggedWriter {
+    fn start(&self, _ctx: &ProcCtx) -> Value {
+        Value::tup([Value::Int(self.tag), Value::Int(0)])
+    }
+
+    fn step(
+        &self,
+        _ctx: &ProcCtx,
+        local: &Value,
+        resp: Option<&Value>,
+    ) -> Result<Action, ProtocolError> {
+        let pc = local
+            .as_tup()
+            .and_then(|t| t.get(1))
+            .and_then(Value::as_int)
+            .ok_or_else(|| ProtocolError::new("corrupt pc"))?;
+        let next = Value::tup([Value::Int(self.tag), Value::Int(pc + 1)]);
+        if pc == 2 * self.rounds {
+            let read = resp.and_then(Value::as_tup).and_then(|t| t.get(1));
+            if read.and_then(Value::as_int).is_some()
+                && read.and_then(Value::as_int) == self.fail_on
+            {
+                return Err(ProtocolError::new("read the poisoned value"));
+            }
+            return Ok(Action::Decide(resp.cloned().unwrap_or(Value::Nil)));
+        }
+        let op = if pc % 2 == 0 {
+            Op::unary("write", Value::Int(self.value + pc / 2))
+        } else {
+            Op::new("read")
+        };
+        Ok(Action::invoke(next, self.obj, op))
+    }
+}
+
+/// `values.len()` tagged writers over one fresh tagged register.
+fn tagged_system(tag: i64, values: &[i64], rounds: i64, fail_on: Option<i64>) -> SystemSpec {
+    let mut b = SystemBuilder::new();
+    let obj = b.add_object(TaggedRegister { tag });
+    for &value in values {
+        let p: Arc<dyn Protocol> = Arc::new(TaggedWriter {
+            obj,
+            tag,
+            value,
+            rounds,
+            fail_on,
+        });
+        b.add_process(p, Value::Nil);
+    }
+    b.build()
+}
+
+/// Everything an exploration answers that must not depend on what the
+/// session ran before: the verdict, the graph (every node's
+/// configuration and edges when it was frozen), and the memo counters.
+fn exact_facts(g: &StateGraph) -> String {
+    let m = g.metrics();
+    let mut facts = format!(
+        "{:?} configs={} edges={} terminals={:?} memo={}/{}/{}",
+        g.verdict(),
+        g.len(),
+        m.edges,
+        g.terminals(),
+        m.memo_lookups,
+        m.memo_hits,
+        m.memo_entries
+    );
+    if !g.is_verdict_only() {
+        for i in 0..g.len() {
+            facts.push_str(&format!("\n{i}: {:?} -> {:?}", g.config(i), g.edges(i)));
+        }
+    }
+    facts
+}
+
+/// Explores `spec` in `session` and in a fresh session under `opts`, and
+/// asserts the two agree in every [`exact_facts`].
+fn assert_matches_fresh(session: &mut ExploreSession, spec: &SystemSpec, opts: &ExploreOptions) {
+    let shared = session
+        .explore_with(spec, opts, &Recorder::new())
+        .expect("explores");
+    let fresh = ExploreSession::default()
+        .explore_with(spec, opts, &Recorder::new())
+        .expect("explores");
+    assert_eq!(exact_facts(&shared), exact_facts(&fresh), "{opts:?}");
+}
+
+/// A small system the next two tests explore after something else: two
+/// writers, one round. Each follow-up exploration takes a new `tag`, so
+/// it is the first in its session to see its states, as in a fresh one.
+fn small_system(tag: i64) -> SystemSpec {
+    tagged_system(tag, &[1, 2], 1, None)
+}
+
+#[test]
+fn a_small_exploration_after_a_large_one_matches_a_fresh_session() {
+    for threads in [1, 4] {
+        let large = tagged_system(1, &[1, 2, 3, 4], 2, None);
+        let opts = verdict_opts().with_threads(threads);
+        let full = ExploreOptions::default().with_threads(threads);
+        let por = verdict_opts().with_threads(threads).with_por(true);
+        let mut session = ExploreSession::default();
+        let g = session
+            .explore_with(&large, &opts, &Recorder::new())
+            .expect("explores");
+        let widest = g.metrics().levels.iter().map(|l| l.items).max();
+        assert!(g.len() > 1000, "a large exploration: {} configs", g.len());
+        assert!(widest >= Some(32), "a level wide enough to split");
+        // The session's buffers are at the large exploration's size; the
+        // small systems share no state with it and run over other objects.
+        assert_matches_fresh(&mut session, &small_system(10), &opts);
+        assert_matches_fresh(&mut session, &small_system(11), &por);
+        assert_matches_fresh(&mut session, &small_system(12), &full);
+        // And after a large full graph, which leaves the session's interner
+        // and memo empty but its buffers large.
+        session
+            .explore_with(&large, &full, &Recorder::new())
+            .expect("explores");
+        assert_matches_fresh(&mut session, &small_system(13), &opts);
+        assert_matches_fresh(&mut session, &small_system(14), &full);
+    }
+}
+
+#[test]
+fn an_exploration_after_one_that_failed_mid_level_matches_a_fresh_session() {
+    for threads in [1, 4] {
+        // Fails when a process reads 3, which the third writer writes in
+        // its first round: at a level where other items have already been
+        // expanded and have logged memo fills.
+        let failing = tagged_system(3, &[1, 2, 3, 4], 2, Some(3));
+        for goal in [verdict_opts(), ExploreOptions::default()] {
+            let opts = goal.with_threads(threads);
+            let mut session = ExploreSession::default();
+            let err = session
+                .explore_with(&failing, &opts, &Recorder::new())
+                .expect_err("reading 3 fails");
+            assert!(matches!(err, SimError::Protocol { .. }), "{err:?}");
+            assert_matches_fresh(&mut session, &small_system(20), &verdict_opts());
+            assert_matches_fresh(&mut session, &small_system(21), &ExploreOptions::default());
+        }
+    }
+}

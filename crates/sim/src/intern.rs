@@ -349,13 +349,19 @@ impl StateInterner {
     ///
     /// Call this on the single merge thread; worker threads only ever hold
     /// `&StateInterner`.
-    pub fn finalize(&mut self, pending: PendingConfig) -> CompactConfig {
-        let PendingConfig {
-            nobjects,
-            mut words,
-            fresh,
-        } = pending;
-        for slot in fresh {
+    pub fn finalize(&mut self, mut pending: PendingConfig) -> CompactConfig {
+        self.resolve_fresh(&mut pending);
+        CompactConfig {
+            nobjects: pending.nobjects,
+            words: pending.words,
+        }
+    }
+
+    /// [`StateInterner::finalize`] in place: interns the fresh states of
+    /// `pending`, leaving it resolved, and returns its id words. The
+    /// caller keeps `pending`'s buffers to write another successor into.
+    pub fn resolve_fresh<'p>(&mut self, pending: &'p mut PendingConfig) -> &'p [u32] {
+        for slot in pending.fresh.drain(..) {
             let id = match slot.state {
                 FreshState::Obj(v) => {
                     let arc = Arc::new(v);
@@ -366,10 +372,10 @@ impl StateInterner {
                     self.intern_proc_counted(slot.hash, &arc)
                 }
             };
-            words[slot.slot as usize] = id;
+            pending.words[slot.slot as usize] = id;
         }
-        debug_assert!(!words.contains(&PLACEHOLDER));
-        CompactConfig { nobjects, words }
+        debug_assert!(!pending.words.contains(&PLACEHOLDER));
+        &pending.words
     }
 
     /// Arena sizes, hit rates and footprint, for post-exploration reports.

@@ -103,7 +103,7 @@ pub use ids::{ObjId, Pid};
 pub use implementation::{ImplStep, Implementation};
 pub use intern::{CompactConfig, InternerStats, PendingConfig, StateInterner};
 pub use linearize::{check_linearizable, is_linearizable, LinearizeError, MAX_OPS};
-pub use memo::{MemoLog, MemoSuccessors, TransitionMemo};
+pub use memo::{hash_id_words, MemoLog, MemoSuccessors, TransitionMemo};
 pub use metrics::{
     env_flag, git_revision, mc_env_json, unix_time_ms, warn_once, ExploreMetrics, LapClock,
     LevelMetrics, Phase, ProgressReport, Recorder, RunRecord, StoreMetrics, TruncationCause,

@@ -102,6 +102,23 @@ impl Hasher for IdHasher {
 
 type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
+/// A fully mixed 64-bit hash of a row of interner ids: the memo's
+/// multiply–rotate step per word, then the `splitmix64` finalizer, so
+/// every bit of the result depends on every word and a table can take
+/// its index straight from the low bits. Like the memo's keys, the rows
+/// are ids this process issued, so a DoS-resistant hash would buy
+/// nothing; the model checker's fingerprint index is keyed by it.
+pub fn hash_id_words(words: &[u32]) -> u64 {
+    let mut h = IdHasher::default();
+    for &word in words {
+        h.add(u64::from(word));
+    }
+    let mut x = h.0;
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// `(process key, proc id)`.
 type ActionKey = (u32, u32);
 
@@ -277,6 +294,16 @@ impl MemoLog {
     /// Lookups answered entirely from the memo since the last absorb.
     pub fn hits(&self) -> u64 {
         self.hits
+    }
+
+    /// Drops every recorded fill and both counters without filing them,
+    /// keeping the buffers — for a log left over from a step that failed.
+    pub fn clear(&mut self) {
+        self.actions.clear();
+        self.transitions.clear();
+        self.outcomes.clear();
+        self.lookups = 0;
+        self.hits = 0;
     }
 }
 

@@ -107,12 +107,19 @@ pub fn git_revision() -> &'static str {
     })
 }
 
-/// Snapshot of every `MC_*` environment variable currently set, as one
-/// JSON object with sorted keys. Captured into each [`RunRecord`] so a
-/// ledger line is interpretable without knowing what the shell looked
-/// like: `MC_STORE`, `MC_STORE_BUDGET` and friends all shape
-/// the run but live outside [`ExploreMetrics`].
-pub fn mc_env_json() -> String {
+/// Every `MC_*` environment variable of this process, as one JSON object
+/// with sorted keys. Captured into each [`RunRecord`] so a ledger line is
+/// interpretable without knowing what the shell looked like: `MC_STORE`,
+/// `MC_STORE_BUDGET` and friends all shape the run but live outside
+/// [`ExploreMetrics`]. Like the rest of the environment's telemetry
+/// configuration, the snapshot is taken once per process, at the first
+/// call that needs it.
+pub fn mc_env_json() -> &'static str {
+    &env_telemetry().mc_env_json
+}
+
+/// Reads the `MC_*` variables for [`mc_env_json`].
+fn read_mc_env_json() -> String {
     let mut vars: Vec<(String, String)> = std::env::vars()
         .filter(|(k, _)| k.starts_with("MC_"))
         .collect();
@@ -807,6 +814,8 @@ struct EnvTelemetry {
     /// The run ledger, opened once per process and shared by every
     /// recorder built from the environment.
     run_log: Option<Arc<RunLog>>,
+    /// The `MC_*` variables as a JSON object ([`mc_env_json`]).
+    mc_env_json: String,
 }
 
 fn env_telemetry() -> &'static EnvTelemetry {
@@ -844,6 +853,7 @@ fn env_telemetry() -> &'static EnvTelemetry {
             trace_path,
             status_path,
             run_log: run_log_path.map(|path| Arc::new(RunLog::open(path))),
+            mc_env_json: read_mc_env_json(),
         }
     })
 }

@@ -2,7 +2,7 @@
 
 use crate::error::SimError;
 use crate::sched::{OutcomeChooser, Scheduler};
-use crate::system::{Config, SystemSpec};
+use crate::system::{Config, StepInfo, SystemSpec};
 use crate::trace::Trace;
 use crate::value::Value;
 
@@ -117,6 +117,14 @@ pub fn run(
 
 /// Like [`run`], but starting from an arbitrary configuration.
 ///
+/// The run steps `config` in place: each step writes only the chosen
+/// outcome into it (one process `Arc` and, for an invocation, one object
+/// `Arc`), the enabled pids are collected into one reused buffer, and a
+/// step's [`StepInfo`] is built only when `opts.record_trace` asks for a
+/// trace. The chooser is consulted exactly when a step has at least two
+/// distinct outcomes, with their count, so the run is step-for-step the
+/// one [`SystemSpec::successors`] describes.
+///
 /// # Errors
 ///
 /// Propagates any [`SimError`] raised while stepping.
@@ -128,9 +136,11 @@ pub fn run_from(
     opts: &RunOptions,
 ) -> Result<RunOutcome, SimError> {
     let mut trace = Trace::new();
+    let mut enabled = Vec::new();
+    let mut outcomes = Vec::new();
     let mut steps = 0;
     while steps < opts.max_steps {
-        let enabled = config.enabled();
+        config.enabled_into(&mut enabled);
         if enabled.is_empty() {
             return Ok(RunOutcome {
                 config,
@@ -147,17 +157,10 @@ pub fn run_from(
                 trace,
             });
         };
-        let mut succs = spec.successors(&config, pid)?;
-        let idx = if succs.len() == 1 {
-            0
-        } else {
-            chooser.choose(succs.len())
-        };
-        let (next, info) = succs.swap_remove(idx.min(succs.len() - 1));
+        let action = spec.step_in_place(&mut config, pid, &mut outcomes, |n| chooser.choose(n))?;
         if opts.record_trace {
-            trace.push(pid, info);
+            trace.push(pid, StepInfo::of(action, config.proc_state(pid)));
         }
-        config = next;
         steps += 1;
     }
     let reached_final = config.is_final();

@@ -32,6 +32,11 @@ cargo test -q --workspace
 echo "==> depth-2 impossibility search (release, ignored test)"
 cargo test -q --release --test e9_impossibility -- --ignored
 
+# The allocation budget of the search's checks runs the same search under a
+# counting allocator; like the search itself it is ignored in debug.
+echo "==> allocation budgets (release, ignored test)"
+cargo test -q --release -p subconsensus-bench --test alloc_budget -- --ignored
+
 # The benchmark is its own package (not a workspace member) and compiles
 # against the library crates by path, so a change to their public API
 # would otherwise only surface when the benchmark is run.
